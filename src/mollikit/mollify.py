@@ -12,8 +12,9 @@ boundary terms vanish because every kernel derivative does).  Closed
 forms exist for the Gaussian kernel against the absolute, check and
 ramp losses; every other pairing integrates by kink-split panel
 quadrature.  `PartialMomentSmoother` provides a third, exact route --
-reducing the integrals piece by piece onto kernel CDF/partial-moment
-evaluations -- which the fitting loops use for speed.
+summing the integrals by parts over the loss pieces, so that only one
+kernel CDF/partial-moment/density lookup per kink remains -- which the
+fitting loops use for speed.
 """
 from __future__ import annotations
 
@@ -197,14 +198,26 @@ def sup_error(s: SmoothedLoss, grid) -> float:
 # ---------------------------------------------------------------------------
 
 class PartialMomentSmoother:
-    """Evaluates the smoothing integrals exactly, piece by piece.
+    """Evaluates the smoothing integrals exactly, by summation by parts.
 
     Catalog losses are piecewise quadratic, so each integral collapses
-    onto kernel CDF and partial-moment differences at the piece
-    boundaries mapped into kernel space.  This is algebraically the
-    same object as the quadrature path (the tests pin the two together)
-    but costs O(kinks) kernel-table lookups per point, which is what
-    makes Newton iterations over full residual vectors cheap.
+    onto kernel CDF C, partial moments P1, P2 and density phi evaluated
+    at the kinks k_i mapped into kernel space, t_i = m*(k_i - u).
+    Summing by parts over the pieces leaves the last piece's
+    coefficients (alpha_K, s_K, q_K) against the kernel totals M1, M2,
+    minus one term per kink carrying the coefficient jumps across it:
+
+        value  = alpha_K + s_K (u + M1/m) + q_K/2 (u^2 + 2u M1/m + M2/m^2)
+                 - sum_i [(da_i + ds_i u) C + ds_i P1/m
+                          + dq_i/2 (u^2 C + 2u P1/m + P2/m^2)]
+        deriv  = s_K + q_K (u + M1/m) - sum_i [(ds_i + dq_i u) C + dq_i P1/m]
+        deriv2 = q_K + sum_i [m (ds_i + dq_i k_i) phi - dq_i C]
+
+    (the last line uses t_i + m u = m k_i; ds_i + dq_i k_i is the
+    subgradient jump at k_i).  This is algebraically the same object as
+    the quadrature path (the tests pin the two together) but costs one
+    kernel lookup per kink and point, which is what makes Newton
+    iterations over full residual vectors cheap.
     """
 
     def __init__(self, loss: LossSpec, kernel: MollifierKernel, m: float):
@@ -213,41 +226,15 @@ class PartialMomentSmoother:
         self.loss = loss
         self.kernel = kernel
         self.m = float(m)
-        pieces = loss_pieces(loss)
-        self._alpha = np.array([p[2] for p in pieces])
-        self._slope = np.array([p[3] for p in pieces])
-        self._quad = np.array([p[4] for p in pieces])
-        self._kinks = np.array([p[0] for p in pieces[1:]])  # interior breaks
-        self._has_quad = bool(np.any(self._quad))
-        self._pm1_total = float(kernel_partial_moment(kernel, np.inf, 1))
-        self._pm2_total = float(kernel_partial_moment(kernel, np.inf, 2))
-
-    def _boundary_tables(self, arr, need_pm2, need_pdf):
-        """Kernel tables at the piece boundaries in v-space.
-
-        Each returned array has shape (pieces + 1, len(arr)); row 0 is
-        the -inf boundary and the last row the +inf boundary.
-        """
-        t = self.m * (self._kinks[:, None] - arr[None, :])
-        k = arr.size
-        rows = self._kinks.size + 2
-        cdf = np.empty((rows, k))
-        cdf[0], cdf[-1] = 0.0, 1.0
-        cdf[1:-1] = kernel_cdf(self.kernel, t)
-        pm1 = np.empty((rows, k))
-        pm1[0], pm1[-1] = 0.0, self._pm1_total
-        pm1[1:-1] = kernel_partial_moment(self.kernel, t, 1)
-        pm2 = pdf = tpdf = None
-        if need_pm2:
-            pm2 = np.empty((rows, k))
-            pm2[0], pm2[-1] = 0.0, self._pm2_total
-            pm2[1:-1] = kernel_partial_moment(self.kernel, t, 2)
-        if need_pdf:
-            pdf = np.zeros((rows, k))
-            pdf[1:-1] = kernel_value(self.kernel, t)
-            tpdf = np.zeros((rows, k))
-            tpdf[1:-1] = t * pdf[1:-1]
-        return cdf, pm1, pm2, pdf, tpdf
+        pieces = np.array(loss_pieces(loss))     # rows (lo, hi, alpha, slope, quad)
+        kinks = pieces[1:, 0]
+        self._kinks = kinks[:, None]
+        self._alpha, self._slope, self._quad = pieces[-1, 2:]
+        self._d_alpha, self._d_slope, self._d_quad = np.diff(pieces[:, 2:], axis=0).T
+        self._d_psi = self.m * (self._d_slope + self._d_quad * kinks)
+        self._has_quad = bool(np.any(pieces[:, 4]))
+        self._mu1 = float(kernel_partial_moment(kernel, np.inf, 1)) / self.m
+        self._mu2 = float(kernel_partial_moment(kernel, np.inf, 2)) / self.m**2
 
     @staticmethod
     def _wrap(u, acc):
@@ -256,53 +243,37 @@ class PartialMomentSmoother:
     def value(self, u) -> float | np.ndarray:
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         m = self.m
-        cdf, pm1, pm2, _, _ = self._boundary_tables(arr, self._has_quad, False)
-        d0, d1 = np.diff(cdf, axis=0), np.diff(pm1, axis=0)
-        acc = ((self._alpha[:, None] + self._slope[:, None] * arr) * d0
-               + (self._slope[:, None] / m) * d1).sum(axis=0)
+        t = m * (self._kinks - arr)
+        cdf = kernel_cdf(self.kernel, t)
+        pm1 = kernel_partial_moment(self.kernel, t, 1) / m
+        ucdf = arr * cdf
+        acc = (self._alpha + self._slope * (arr + self._mu1)
+               - self._d_alpha @ cdf - self._d_slope @ (ucdf + pm1))
         if self._has_quad:
-            d2 = np.diff(pm2, axis=0)
-            q = self._quad[:, None]
-            acc += (0.5 * q * (arr * arr * d0 + (2.0 / m) * arr * d1
-                               + d2 / (m * m))).sum(axis=0)
+            pm2 = kernel_partial_moment(self.kernel, t, 2) / (m * m)
+            acc += 0.5 * (self._quad * (arr * (arr + 2.0 * self._mu1) + self._mu2)
+                          - self._d_quad @ (arr * (ucdf + 2.0 * pm1) + pm2))
         return self._wrap(u, acc)
 
     def derivative(self, u) -> float | np.ndarray:
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        cdf, pm1, _, _, _ = self._boundary_tables(arr, False, False)
-        acc = self._derivative_from(arr, np.diff(cdf, axis=0),
-                                    np.diff(pm1, axis=0))
-        return self._wrap(u, acc)
+        return self._wrap(u, self.curvature_pair(u)[0])
 
     def second_derivative(self, u) -> float | np.ndarray:
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        cdf, _, _, pdf, tpdf = self._boundary_tables(arr, False, True)
-        acc = self._second_from(arr, np.diff(cdf, axis=0),
-                                np.diff(pdf, axis=0), np.diff(tpdf, axis=0))
-        return self._wrap(u, acc)
+        return self._wrap(u, self.curvature_pair(u)[1])
 
     def curvature_pair(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """(derivative, second derivative) sharing one table pass."""
+        """(derivative, second derivative) sharing one kernel lookup."""
         arr = np.atleast_1d(np.asarray(u, dtype=float))
-        cdf, pm1, _, pdf, tpdf = self._boundary_tables(arr, False, True)
-        d0 = np.diff(cdf, axis=0)
-        grad = self._derivative_from(arr, d0, np.diff(pm1, axis=0))
-        curv = self._second_from(arr, d0, np.diff(pdf, axis=0),
-                                 np.diff(tpdf, axis=0))
+        t = self.m * (self._kinks - arr)
+        cdf = kernel_cdf(self.kernel, t)
+        grad = self._slope - self._d_slope @ cdf
+        curv = self._d_psi @ kernel_value(self.kernel, t)
+        if self._has_quad:
+            pm1 = kernel_partial_moment(self.kernel, t, 1) / self.m
+            grad += (self._quad * (arr + self._mu1)
+                     - self._d_quad @ (arr * cdf + pm1))
+            curv += self._quad - self._d_quad @ cdf
         return grad, curv
-
-    def _derivative_from(self, arr, d0, d1):
-        acc = ((self._slope[:, None] + self._quad[:, None] * arr) * d0).sum(axis=0)
-        if self._has_quad:
-            acc += ((self._quad[:, None] / self.m) * d1).sum(axis=0)
-        return acc
-
-    def _second_from(self, arr, d0, dpdf, dtpdf):
-        acc = (-self.m * (self._slope[:, None] + self._quad[:, None] * arr)
-               * dpdf).sum(axis=0)
-        if self._has_quad:
-            acc -= (self._quad[:, None] * (dtpdf - d0)).sum(axis=0)
-        return acc
 
 
 # ---------------------------------------------------------------------------

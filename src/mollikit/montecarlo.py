@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import (ErrorDensity, normal_quantile, standard_normal,
                             student_t4, t4_quantile)
-from .errors import ExperimentError
+from .errors import ExperimentError, MollikitError
 from .estimator import (LinearSample, SolverOptions, fit_convolution_baseline,
                         fit_exact_scalar_quantile, fit_smoothed)
 from .kernels import parse_kernel
@@ -32,6 +32,10 @@ from .losses import check_loss, expected_curvature
 from .quadratic import beta_Q, build_quadratic
 
 THETA0 = 1.0
+
+# A replication that raises one of these is recorded as excluded; any
+# other exception is a programming error and propagates.
+_REPLICATION_ERRORS = (MollikitError, np.linalg.LinAlgError, FloatingPointError)
 
 _DIST_ALIASES = {
     "normal01": "normal01", "normal": "normal01", "gaussian": "normal01",
@@ -117,8 +121,8 @@ def generate_sample(config: ExperimentConfig, replication: int) -> LinearSample:
     """Draw replication j of the simulation design.
 
     x is drawn first, then the raw errors: normal errors straight from
-    the generator, t4 errors by feeding uniforms through the bisection
-    quantile (slower, but identical on every platform).
+    the generator, t4 errors by feeding uniforms through the closed-form
+    quantile.
     """
     if not 0 <= replication < config.replications:
         raise ValueError("replication index out of range")
@@ -189,7 +193,7 @@ def _rmse_record(config: ExperimentConfig, j: int, solver: SolverOptions,
         rec["failed"] = not ok
         if not ok:
             rec["error"] = "solver did not converge"
-    except Exception as exc:                 # pragma: no cover - defensive
+    except _REPLICATION_ERRORS as exc:
         rec["failed"] = True
         rec["error"] = f"{type(exc).__name__}: {exc}"
     return rec
@@ -217,7 +221,7 @@ def _mad_record(config: ExperimentConfig, j: int, a: float,
         rec["failed"] = not ok
         if not ok:
             rec["error"] = "solver did not converge"
-    except Exception as exc:                 # pragma: no cover - defensive
+    except _REPLICATION_ERRORS as exc:
         rec["failed"] = True
         rec["error"] = f"{type(exc).__name__}: {exc}"
     return rec

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from math import log, sqrt
 
 import numpy as np
-from scipy.stats import qmc
 
 from .distributions import normal_quantile
 from .errors import (IncompleteSampleError, InvalidCurvatureError,
@@ -96,6 +95,8 @@ def beta_Q(q: QuadraticApprox) -> np.ndarray:
 def _probe_directions(d: int, count: int) -> np.ndarray:
     if d == 1:
         return np.array([[1.0], [-1.0]])
+    # scipy.stats is slow to import and only needed here, for d > 1
+    from scipy.stats import qmc
     sampler = qmc.Halton(d=d, scramble=False)
     pts = sampler.random(count)
     z = normal_quantile(np.clip(pts, 1e-12, 1 - 1e-12).ravel()).reshape(pts.shape)

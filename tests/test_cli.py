@@ -1,7 +1,10 @@
 import argparse
 import csv
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +232,14 @@ def test_every_subcommand_runs(tmp_path):
     assert set(argvs) == set(subparsers.choices)
     for name, argv in argvs.items():
         assert cli.main([name, *argv]) == 0, name
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and only the d > 1 probe directions
+    # of the quadratic surrogate need it
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mollikit.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -54,6 +54,14 @@ def test_t4_quantile_round_trip():
     q = t4_quantile(p)
     assert np.allclose(t4_cdf(q), p, atol=1e-11)
     assert np.allclose(q, student_t(4).ppf(p), atol=1e-8)
+    # far tails and the neighbourhood of the median, where the closed
+    # form divides by sqrt(4p(1-p)) or takes the root of a tiny difference
+    tails = np.logspace(-12, -3, 91)
+    centre = 0.5 + np.linspace(-1e-6, 1e-6, 201)
+    p = np.concatenate([tails, 1.0 - tails, centre])
+    q = t4_quantile(p)
+    ref = student_t(4).ppf(p)
+    assert np.max(np.abs(q - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
 
 
 def test_t4_quantile_domain():

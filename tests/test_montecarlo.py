@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import t as student_t
 
-from mollikit.errors import ExperimentError
+from mollikit.errors import ExperimentError, SingularDesignError
 from mollikit.estimator import LinearSample
 from mollikit.montecarlo import (ExperimentConfig, ExperimentResult,
                                  analytic_curvature, error_quantile_shift,
@@ -182,7 +182,7 @@ def test_rmse_sensible_magnitude():
 
 def test_exclusion_gate_trips():
     def broken(config, j):
-        raise RuntimeError("boom")
+        raise SingularDesignError("boom")
 
     with pytest.raises(ExperimentError):
         run_rmse_experiment(_cfg(replications=10), generator=broken)
@@ -191,7 +191,7 @@ def test_exclusion_gate_trips():
 def test_exclusion_audit_below_gate():
     def flaky(config, j):
         if j == 0:
-            raise RuntimeError("boom")
+            raise SingularDesignError("boom")
         return generate_sample(config, j)
 
     cfg = _cfg(replications=200)
@@ -199,6 +199,17 @@ def test_exclusion_audit_below_gate():
     assert res.excluded == 1
     assert res.records[0]["failed"]
     assert "boom" in res.records[0]["error"]
+
+
+@pytest.mark.parametrize("run", [run_rmse_experiment, run_mad_experiment])
+def test_programming_error_propagates(run):
+    # only library, linear-algebra and floating-point errors exclude a
+    # replication; a bug must crash, not count as an exclusion
+    def buggy(config, j):
+        raise NameError("name 'undefined' is not defined")
+
+    with pytest.raises(NameError):
+        run(_cfg(replications=3), generator=buggy)
 
 
 # ---------------------------------------------------------------------------
