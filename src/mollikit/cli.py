@@ -23,6 +23,7 @@ from .errors import ExperimentError, MollikitError
 from .kernels import kernel_abs_moment, parse_kernel
 from .losses import loss_value, parse_loss
 from .mollify import expected_derivative_gap, smooth_value, smoothed_loss, sup_error
+from .montecarlo import _fmt
 
 EXIT_USAGE = 2
 EXIT_QUALITY = 3
@@ -32,10 +33,6 @@ _DEFAULT_RATE_GRID = "-3:3:0.001"
 
 class UsageError(ValueError):
     pass
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -30,10 +30,15 @@ class ErrorDensity:
     quad_breaks: tuple[float, ...] = field(default=())
 
 
+def _as_same(template, arr):
+    """Return arr as a float if template was scalar, else as ndarray."""
+    return float(arr) if np.ndim(template) == 0 else arr
+
+
 def normal_pdf(x):
+    """Standard normal density."""
     x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / _SQRT2PI
-    return float(out) if np.ndim(x) == 0 else out
+    return _as_same(x, np.exp(-0.5 * x * x) / _SQRT2PI)
 
 
 def normal_quantile(p) -> float | np.ndarray:
@@ -41,22 +46,19 @@ def normal_quantile(p) -> float | np.ndarray:
     parr = np.asarray(p, dtype=float)
     if np.any((parr < 0.0) | (parr > 1.0)):
         raise ValueError("probability outside [0, 1]")
-    q = ndtri(parr)
-    return float(q) if np.ndim(p) == 0 else q
+    return _as_same(p, ndtri(parr))
 
 
 def t4_pdf(x):
     x = np.asarray(x, dtype=float)
-    out = 0.375 * (1.0 + 0.25 * x * x) ** -2.5
-    return float(out) if np.ndim(x) == 0 else out
+    return _as_same(x, 0.375 * (1.0 + 0.25 * x * x) ** -2.5)
 
 
 def t4_cdf(x):
     """Closed-form CDF of the t distribution with 4 degrees of freedom."""
     x = np.asarray(x, dtype=float)
     s = x / np.sqrt(4.0 + x * x)
-    out = 0.5 + 0.75 * s * (1.0 - s * s / 3.0)
-    return float(out) if np.ndim(x) == 0 else out
+    return _as_same(x, 0.5 + 0.75 * s * (1.0 - s * s / 3.0))
 
 
 def t4_quantile(p) -> float | np.ndarray:
@@ -71,7 +73,7 @@ def t4_quantile(p) -> float | np.ndarray:
     root = np.sqrt(4.0 * parr * (1.0 - parr))
     out = np.sign(parr - 0.5) * 2.0 * np.sqrt(
         np.cos(np.arccos(root) / 3.0) / root - 1.0)
-    return float(out) if np.ndim(p) == 0 else out
+    return _as_same(p, out)
 
 
 def standard_normal() -> ErrorDensity:

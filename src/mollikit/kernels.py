@@ -14,9 +14,9 @@ from functools import lru_cache
 from math import sqrt, pi
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import ndtr
 
+from .distributions import _as_same, normal_pdf
 from .quadrature import integrate
 
 GAUSSIAN = "gaussian"
@@ -26,7 +26,6 @@ BUMP = "bump"
 # below 1e-15 and is ignored by the integration paths.
 GAUSSIAN_WINDOW = 8.0
 
-_SQRT2PI = sqrt(2.0 * pi)
 # The bump is flat to machine precision near the boundary; splitting
 # panels at +/-0.99 keeps Gauss-Legendre convergence fast there.
 _BUMP_EDGE = 0.99
@@ -97,18 +96,11 @@ def bump_normalizer() -> float:
     return 1.0 / mass
 
 
-def _as_same(template, arr):
-    """Return arr as a float if template was scalar, else as ndarray."""
-    if np.ndim(template) == 0:
-        return float(arr.reshape(()))
-    return arr
-
-
 def kernel_value(kernel: MollifierKernel, v) -> float | np.ndarray:
     """Density value phi(v); zero outside the bump support."""
     x = np.asarray(v, dtype=float)
     if kernel.kind == GAUSSIAN:
-        out = np.exp(-0.5 * x * x) / _SQRT2PI
+        out = normal_pdf(x)
     else:
         out = bump_normalizer() * _bump_raw(x)
     return _as_same(v, out)
@@ -122,7 +114,7 @@ def kernel_derivative(kernel: MollifierKernel, v, order: int) -> float | np.ndar
         return kernel_value(kernel, v)
     x = np.asarray(v, dtype=float)
     if kernel.kind == GAUSSIAN:
-        phi = np.exp(-0.5 * x * x) / _SQRT2PI
+        phi = normal_pdf(x)
         out = -x * phi if order == 1 else (x * x - 1.0) * phi
         return _as_same(v, out)
     gap = 1.0 - x * x
@@ -160,13 +152,30 @@ def kernel_abs_moment(kernel: MollifierKernel, k: int) -> float:
 # Cumulative kernel integrals.  These back the exact piecewise reduction of
 # the smoothing integrals (see mollify.PartialMomentSmoother): the CDF and
 # the partial moments int_{-inf}^t v^k phi(v) dv for k = 1, 2.  The Gaussian
-# versions are closed form; the bump versions come from one dense cumulative
-# quadrature pass per process, interpolated by cubic splines (interpolation
-# error is a few 1e-16 at the grid spacing used).
+# versions are closed form.  The bump versions come from one dense
+# cumulative Gauss-Legendre pass per process on a uniform grid; between
+# nodes they are cubic Hermite pieces.  Their node derivatives phi, v*phi
+# and v^2*phi are known exactly, so each piece follows from its two end
+# nodes alone (interpolation error is a few 1e-16 at the grid spacing).
 # ---------------------------------------------------------------------------
 
 _TABLE_POINTS = 8193
 _SEGMENT_NODES = 24
+# table rows are intervals; position (t + 1) * _TABLE_SCALE lies in row
+# floor(position), and the padded last row (total, 0, 0, 0) serves t >= 1
+_TABLE_SCALE = (_TABLE_POINTS - 1) / 2.0
+
+
+def _hermite_rows(values, slopes, h):
+    """Per-interval cubic coefficients (c0, c1, c2, c3) in the offset
+    s = (t - g_i)/h, each a contiguous array with a padded last row."""
+    rise = np.diff(values)
+    lo, hi = h * slopes[:-1], h * slopes[1:]
+    pad = np.zeros(1)
+    return (values,
+            np.concatenate([lo, pad]),
+            np.concatenate([3.0 * rise - 2.0 * lo - hi, pad]),
+            np.concatenate([-2.0 * rise + lo + hi, pad]))
 
 
 @lru_cache(maxsize=1)
@@ -188,10 +197,28 @@ def _bump_tables():
 
     cdf = cumulative(seg0)
     cdf /= cdf[-1]                       # pin total mass to exactly one
-    pm1 = cumulative(seg1)
-    pm2 = cumulative(seg2)
-    return (CubicSpline(grid, cdf), CubicSpline(grid, pm1),
-            CubicSpline(grid, pm2), pm1[-1], pm2[-1])
+    h = 1.0 / _TABLE_SCALE
+    phi_grid = kernel_value(bump_kernel(), grid)
+    return (_hermite_rows(cdf, phi_grid, h),
+            _hermite_rows(cumulative(seg1), grid * phi_grid, h),
+            _hermite_rows(cumulative(seg2), grid * grid * phi_grid, h))
+
+
+def _table_lookup(rows, x: np.ndarray) -> np.ndarray:
+    """Evaluate one bump table at x; 0 below -1, the total above 1, NaN
+    at NaN."""
+    pos = np.minimum(np.maximum(x, -1.0), 1.0)    # NaN stays NaN
+    pos += 1.0
+    pos *= _TABLE_SCALE
+    # fmax sends NaN to row 0, where the NaN offset still reaches the result
+    idx = np.fmax(pos, 0.0).astype(np.intp)
+    s = pos - idx
+    c0, c1, c2, c3 = rows
+    out = c3.take(idx)                               # Horner, in place
+    for c in (c2, c1, c0):
+        out *= s
+        out += c.take(idx)
+    return out
 
 
 def kernel_cdf(kernel: MollifierKernel, t) -> float | np.ndarray:
@@ -199,9 +226,7 @@ def kernel_cdf(kernel: MollifierKernel, t) -> float | np.ndarray:
     x = np.asarray(t, dtype=float)
     if kernel.kind == GAUSSIAN:
         return _as_same(t, ndtr(x))
-    spline = _bump_tables()[0]
-    out = spline(np.clip(x, -1.0, 1.0))
-    return _as_same(t, np.asarray(out))
+    return _as_same(t, _table_lookup(_bump_tables()[0], x))
 
 
 def kernel_partial_moment(kernel: MollifierKernel, t, k: int) -> float | np.ndarray:
@@ -212,16 +237,11 @@ def kernel_partial_moment(kernel: MollifierKernel, t, k: int) -> float | np.ndar
     if kernel.kind == GAUSSIAN:
         finite = np.isfinite(x)
         xf = np.where(finite, x, 0.0)
-        phi = np.exp(-0.5 * xf * xf) / _SQRT2PI
+        phi = normal_pdf(xf)
         if k == 1:
             out = np.where(finite, -phi, 0.0)
         else:
             out = np.where(finite, ndtr(xf) - xf * phi,
                            np.where(x > 0, 1.0, 0.0))
         return _as_same(t, out)
-    _, s1, s2, tot1, tot2 = _bump_tables()
-    spline, total = (s1, tot1) if k == 1 else (s2, tot2)
-    clipped = np.clip(x, -1.0, 1.0)
-    out = np.asarray(spline(clipped))
-    out = np.where(x >= 1.0, total, np.where(x <= -1.0, 0.0, out))
-    return _as_same(t, out)
+    return _as_same(t, _table_lookup(_bump_tables()[k], x))

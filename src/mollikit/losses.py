@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _as_same
 from .errors import CurvatureUndefinedError
 from .quadrature import integrate
 
@@ -104,12 +105,6 @@ def parse_loss(text: str) -> LossSpec:
         return huber_loss(float(arg))
     raise ValueError(f"bad loss spec {text!r} "
                      "(expected abs|check:TAU|huber:C|relu)")
-
-
-def _as_same(template, arr):
-    if np.ndim(template) == 0:
-        return float(arr.reshape(()))
-    return arr
 
 
 def loss_value(loss: LossSpec, u) -> float | np.ndarray:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .distributions import normal_pdf
 from .errors import InvalidScaleError
 from .kernels import (MollifierKernel, kernel_cdf, kernel_derivative,
                       kernel_partial_moment, kernel_value)
@@ -34,8 +35,6 @@ QUADRATURE = "quadrature"
 
 _QUAD_TARGET = 1e-11
 _CHUNK_ROWS = 1024
-
-_SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
 def _has_closed_form(loss: LossSpec, kernel: MollifierKernel) -> bool:
@@ -130,18 +129,14 @@ def _second_quadrature(s: SmoothedLoss, u: np.ndarray) -> np.ndarray:
 # Gaussian closed forms
 # ---------------------------------------------------------------------------
 
-def _norm_pdf(t):
-    return np.exp(-0.5 * t * t) / _SQRT2PI
-
-
 def _value_closed(s: SmoothedLoss, u: np.ndarray) -> np.ndarray:
     t = s.m * u
-    smoothed_abs = u * (2.0 * ndtr(t) - 1.0) + (2.0 / s.m) * _norm_pdf(t)
+    smoothed_abs = u * (2.0 * ndtr(t) - 1.0) + (2.0 / s.m) * normal_pdf(t)
     if s.loss.kind == "absolute":
         return smoothed_abs
     if s.loss.kind == "check":
         return (s.loss.tau - 0.5) * u + 0.5 * smoothed_abs
-    return u * ndtr(t) + _norm_pdf(t) / s.m
+    return u * ndtr(t) + normal_pdf(t) / s.m
 
 
 def _derivative_closed(s: SmoothedLoss, u: np.ndarray) -> np.ndarray:
@@ -155,7 +150,7 @@ def _derivative_closed(s: SmoothedLoss, u: np.ndarray) -> np.ndarray:
 
 def _second_closed(s: SmoothedLoss, u: np.ndarray) -> np.ndarray:
     scale = 2.0 if s.loss.kind == "absolute" else 1.0
-    return scale * s.m * _norm_pdf(s.m * u)
+    return scale * s.m * normal_pdf(s.m * u)
 
 
 # ---------------------------------------------------------------------------

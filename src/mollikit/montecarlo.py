@@ -323,7 +323,8 @@ def run_mad_experiment(config: ExperimentConfig, threads: int = 1,
 # ---------------------------------------------------------------------------
 
 def _fmt(v: float) -> str:
-    return format(v, ".17g")
+    """A float with 17 significant digits, enough to read back exactly."""
+    return format(float(v), ".17g")
 
 
 def _cell_label(config: ExperimentConfig) -> str:

@@ -234,12 +234,14 @@ def test_every_subcommand_runs(tmp_path):
         assert cli.main([name, *argv]) == 0, name
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and only the d > 1 probe directions
-    # of the quadratic surrogate need it
+# slow scipy packages that importing the CLI must not load: only the d > 1
+# probe directions of the quadratic surrogate need scipy.stats, and the
+# bump tables are cubic Hermite lookups in plain numpy
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.interpolate"])
+def test_cli_import_leaves_scipy_unloaded(module):
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import mollikit.cli; "
-            "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+            "print(sys.argv[2] in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(src), module],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

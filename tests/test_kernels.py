@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -135,8 +137,14 @@ def test_scaled_first_moment(kern, m):
 
 def test_cdf_and_partial_moments_against_quadrature():
     rng = np.random.default_rng(3)
-    for t in rng.uniform(-0.999, 0.999, 12):
-        breaks = sorted({-1.0, -0.99, min(t, 0.99), t})
+    # table nodes sit at -1 + i*h; take a few nodes and midpoints, the
+    # first and last intervals among them
+    h = 2.0 / 8192
+    on_grid = -1.0 + h * np.array([0.5, 1.0, 1.5, 2.0, 2047.5, 4095.0, 4095.5,
+                                   4096.0, 4096.5, 6000.0, 8190.5, 8191.0,
+                                   8191.5])
+    for t in np.concatenate([rng.uniform(-0.999, 0.999, 12), on_grid]):
+        breaks = sorted({-1.0, t} | {b for b in (-0.99, 0.99) if b < t})
         direct = integrate(lambda v: kernel_value(BUMP, v), breaks, target=1e-14)
         assert kernel_cdf(BUMP, t) == pytest.approx(direct, abs=1e-12)
         for k in (1, 2):
@@ -156,6 +164,22 @@ def test_cdf_limits_and_symmetry():
     assert kernel_partial_moment(GAUSS, np.inf, 2) == pytest.approx(1.0)
     assert kernel_partial_moment(BUMP, np.inf, 2) == pytest.approx(MU2_BUMP,
                                                                    abs=1e-12)
+    # the bump tables return their totals and zero exactly past the support
+    tables = [lambda t: kernel_cdf(BUMP, t)] + [
+        lambda t, k=k: kernel_partial_moment(BUMP, t, k) for k in (1, 2)]
+    totals = [1.0] + [kernel_partial_moment(BUMP, 1.0, k) for k in (1, 2)]
+    beyond = np.array([1.0, 1.5, np.inf])
+    for table, total in zip(tables, totals):
+        assert np.all(table(beyond) == total)
+        assert np.all(table(-beyond) == 0.0)
+        assert all(table(t) == total for t in beyond)
+    # NaN in, NaN out, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for table in tables:
+            assert np.isnan(table(np.nan))
+            out = table(np.array([np.nan, 0.5, -2.0]))
+            assert np.isnan(out[0]) and np.all(np.isfinite(out[1:]))
 
 
 def test_parse_kernel():
