@@ -10,10 +10,9 @@ from .kernels import (MollifierKernel, bump_kernel, bump_normalizer,
 from .losses import (CurvatureMeasure, LossSpec, absolute_loss, check_loss,
                      expected_curvature, huber_loss, loss_curvature,
                      loss_subgradient, loss_value, parse_loss, relu_loss)
-from .mollify import (PartialMomentSmoother, SmoothedLoss,
-                      expected_derivative_gap, smooth_derivative,
-                      smooth_second_derivative, smooth_value, smoothed_loss,
-                      sup_error)
+from .mollify import (PartialMomentSmoother, expected_derivative_gap,
+                      smooth_derivative, smooth_second_derivative,
+                      smooth_value, smoothed_loss, sup_error)
 from .montecarlo import (ExperimentConfig, ExperimentResult, error_quantile_shift,
                          generate_sample, run_mad_experiment, run_rmse_experiment)
 from .quadratic import (QuadraticApprox, approximation_gap, beta_Q,
@@ -29,7 +28,7 @@ __all__ = [
     "CurvatureMeasure", "LossSpec", "absolute_loss", "check_loss",
     "expected_curvature", "huber_loss", "loss_curvature", "loss_subgradient",
     "loss_value", "parse_loss", "relu_loss",
-    "PartialMomentSmoother", "SmoothedLoss", "expected_derivative_gap",
+    "PartialMomentSmoother", "expected_derivative_gap",
     "smooth_derivative", "smooth_second_derivative", "smooth_value",
     "smoothed_loss", "sup_error",
     "ExperimentConfig", "ExperimentResult", "error_quantile_shift",

@@ -235,7 +235,8 @@ def kernel_partial_moment(kernel: MollifierKernel, t, k: int) -> float | np.ndar
         raise ValueError("k must be 1 or 2")
     x = np.asarray(t, dtype=float)
     if kernel.kind == GAUSSIAN:
-        finite = np.isfinite(x)
+        # NaN takes the finite branch, so that it comes out as NaN
+        finite = ~np.isinf(x)
         xf = np.where(finite, x, 0.0)
         phi = normal_pdf(xf)
         if k == 1:

@@ -8,22 +8,19 @@ the scaled kernel m*phi(m.), evaluated here as
     deriv2(u) = -m * int psi(u + v/m) phi'(v) dv
 
 (the second derivative comes from one integration by parts; the
-boundary terms vanish because every kernel derivative does).  Closed
-forms exist for the Gaussian kernel against the absolute, check and
-ramp losses; every other pairing integrates by kink-split panel
-quadrature.  `PartialMomentSmoother` provides a third, exact route --
-summing the integrals by parts over the loss pieces, so that only one
-kernel CDF/partial-moment/density lookup per kink remains -- which the
-fitting loops use for speed.
+boundary terms vanish because every kernel derivative does).
+`PartialMomentSmoother` is the smoothed loss: it evaluates these
+integrals exactly, by summing them by parts over the loss pieces, so
+that one kernel CDF/partial-moment/density lookup per kink remains.
+Kink-split panel quadrature is the independent reference
+(method "quadrature").  Method "closed_form" names the exact route on
+the Gaussian kernel, whose CDF and partial moments are closed forms;
+"auto" picks it there and quadrature for the bump kernel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import ndtr
 
-from .distributions import normal_pdf
 from .errors import InvalidScaleError
 from .kernels import (MollifierKernel, kernel_cdf, kernel_derivative,
                       kernel_partial_moment, kernel_value)
@@ -37,38 +34,10 @@ _QUAD_TARGET = 1e-11
 _CHUNK_ROWS = 1024
 
 
-def _has_closed_form(loss: LossSpec, kernel: MollifierKernel) -> bool:
-    return kernel.kind == "gaussian" and loss.kind in ("absolute", "check", "relu")
-
-
-@dataclass(frozen=True)
-class SmoothedLoss:
-    """A (loss, kernel, scale) triple with a resolved evaluation method."""
-
-    loss: LossSpec
-    kernel: MollifierKernel
-    m: float
-    method: str
-
-
 def smoothed_loss(loss: LossSpec, kernel: MollifierKernel, m: float,
-                  method: str = "auto") -> SmoothedLoss:
-    if not m > 0:
-        raise InvalidScaleError(f"smoothing scale must be positive, got {m}")
-    if method == "auto":
-        method = CLOSED_FORM if _has_closed_form(loss, kernel) else QUADRATURE
-    elif method == CLOSED_FORM:
-        if not _has_closed_form(loss, kernel):
-            raise ValueError(
-                f"no closed form for {loss.label} with {kernel.kind} kernel")
-    elif method != QUADRATURE:
-        raise ValueError(f"unknown method {method!r}")
-    return SmoothedLoss(loss=loss, kernel=kernel, m=float(m), method=method)
-
-
-def _check_scale(s: SmoothedLoss):
-    if not s.m > 0:
-        raise InvalidScaleError(f"smoothing scale must be positive, got {s.m}")
+                  method: str = "auto") -> PartialMomentSmoother:
+    """The smoothed loss at scale m, with its evaluation method resolved."""
+    return PartialMomentSmoother(loss, kernel, m, method)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +64,7 @@ def _v_breaks(loss: LossSpec, kernel: MollifierKernel, m: float,
     return np.sort(np.stack(cols, axis=1), axis=1)
 
 
-def _quad_rows(s: SmoothedLoss, u: np.ndarray, integrand) -> np.ndarray:
+def _quad_rows(s: PartialMomentSmoother, u: np.ndarray, integrand) -> np.ndarray:
     out = np.empty(u.shape)
     for start in range(0, u.size, _CHUNK_ROWS):
         chunk = u[start:start + _CHUNK_ROWS]
@@ -110,77 +79,49 @@ def _quad_rows(s: SmoothedLoss, u: np.ndarray, integrand) -> np.ndarray:
     return out
 
 
-def _value_quadrature(s: SmoothedLoss, u: np.ndarray) -> np.ndarray:
+def _value_quadrature(s: PartialMomentSmoother, u: np.ndarray) -> np.ndarray:
     return _quad_rows(s, u, lambda arg, v: loss_value(s.loss, arg)
                       * kernel_value(s.kernel, v))
 
 
-def _derivative_quadrature(s: SmoothedLoss, u: np.ndarray) -> np.ndarray:
+def _derivative_quadrature(s: PartialMomentSmoother, u: np.ndarray) -> np.ndarray:
     return _quad_rows(s, u, lambda arg, v: loss_subgradient(s.loss, arg)
                       * kernel_value(s.kernel, v))
 
 
-def _second_quadrature(s: SmoothedLoss, u: np.ndarray) -> np.ndarray:
+def _second_quadrature(s: PartialMomentSmoother, u: np.ndarray) -> np.ndarray:
     return -s.m * _quad_rows(s, u, lambda arg, v: loss_subgradient(s.loss, arg)
                              * kernel_derivative(s.kernel, v, 1))
-
-
-# ---------------------------------------------------------------------------
-# Gaussian closed forms
-# ---------------------------------------------------------------------------
-
-def _value_closed(s: SmoothedLoss, u: np.ndarray) -> np.ndarray:
-    t = s.m * u
-    smoothed_abs = u * (2.0 * ndtr(t) - 1.0) + (2.0 / s.m) * normal_pdf(t)
-    if s.loss.kind == "absolute":
-        return smoothed_abs
-    if s.loss.kind == "check":
-        return (s.loss.tau - 0.5) * u + 0.5 * smoothed_abs
-    return u * ndtr(t) + normal_pdf(t) / s.m
-
-
-def _derivative_closed(s: SmoothedLoss, u: np.ndarray) -> np.ndarray:
-    t = s.m * u
-    if s.loss.kind == "absolute":
-        return 2.0 * ndtr(t) - 1.0
-    if s.loss.kind == "check":
-        return (s.loss.tau - 0.5) + 0.5 * (2.0 * ndtr(t) - 1.0)
-    return ndtr(t)
-
-
-def _second_closed(s: SmoothedLoss, u: np.ndarray) -> np.ndarray:
-    scale = 2.0 if s.loss.kind == "absolute" else 1.0
-    return scale * s.m * normal_pdf(s.m * u)
 
 
 # ---------------------------------------------------------------------------
 # public evaluation
 # ---------------------------------------------------------------------------
 
-def _dispatch(s: SmoothedLoss, u, closed, quad):
-    _check_scale(s)
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    out = closed(s, arr) if s.method == CLOSED_FORM else quad(s, arr)
+def _dispatch(s: PartialMomentSmoother, u, exact, quad):
+    if s.method == CLOSED_FORM:
+        return exact(u)
+    out = quad(s, np.atleast_1d(np.asarray(u, dtype=float)))
     return float(out[0]) if np.ndim(u) == 0 else out
 
 
-def smooth_value(s: SmoothedLoss, u) -> float | np.ndarray:
+def smooth_value(s: PartialMomentSmoother, u) -> float | np.ndarray:
     """Smoothed loss value at u (scalar or array)."""
-    return _dispatch(s, u, _value_closed, _value_quadrature)
+    return _dispatch(s, u, s.value, _value_quadrature)
 
 
-def smooth_derivative(s: SmoothedLoss, u) -> float | np.ndarray:
+def smooth_derivative(s: PartialMomentSmoother, u) -> float | np.ndarray:
     """First derivative of the smoothed loss at u."""
-    return _dispatch(s, u, _derivative_closed, _derivative_quadrature)
+    return _dispatch(s, u, s.derivative, _derivative_quadrature)
 
 
-def smooth_second_derivative(s: SmoothedLoss, u) -> float | np.ndarray:
+def smooth_second_derivative(s: PartialMomentSmoother, u) -> float | np.ndarray:
     """Second derivative of the smoothed loss at u (nonnegative up to
     quadrature noise, by convexity)."""
-    return _dispatch(s, u, _second_closed, _second_quadrature)
+    return _dispatch(s, u, s.second_derivative, _second_quadrature)
 
 
-def sup_error(s: SmoothedLoss, grid) -> float:
+def sup_error(s: PartialMomentSmoother, grid) -> float:
     """max over the grid of |smoothed value - exact value|."""
     pts = np.asarray(grid, dtype=float).ravel()
     if pts.size == 0:
@@ -189,11 +130,13 @@ def sup_error(s: SmoothedLoss, grid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact piecewise reduction (fast path for fitting loops)
+# the smoothed loss: exact piecewise reduction
 # ---------------------------------------------------------------------------
 
 class PartialMomentSmoother:
-    """Evaluates the smoothing integrals exactly, by summation by parts.
+    """The smoothed loss: a (loss, kernel, scale) triple with a resolved
+    evaluation method, whose own methods evaluate the smoothing
+    integrals exactly, by summation by parts.
 
     Catalog losses are piecewise quadratic, so each integral collapses
     onto kernel CDF C, partial moments P1, P2 and density phi evaluated
@@ -213,11 +156,24 @@ class PartialMomentSmoother:
     the quadrature path (the tests pin the two together) but costs one
     kernel lookup per kink and point, which is what makes Newton
     iterations over full residual vectors cheap.
+
+    `method` ("auto", "closed_form" or "quadrature", as in the module
+    docstring) says how `smooth_value` and its siblings evaluate it.
     """
 
-    def __init__(self, loss: LossSpec, kernel: MollifierKernel, m: float):
+    def __init__(self, loss: LossSpec, kernel: MollifierKernel, m: float,
+                 method: str = "auto"):
         if not m > 0:
             raise InvalidScaleError(f"smoothing scale must be positive, got {m}")
+        gaussian = kernel.kind == "gaussian"
+        if method == "auto":
+            method = CLOSED_FORM if gaussian else QUADRATURE
+        elif method == CLOSED_FORM and not gaussian:
+            raise ValueError(
+                f"no closed form for {loss.label} with {kernel.kind} kernel")
+        elif method not in (CLOSED_FORM, QUADRATURE):
+            raise ValueError(f"unknown method {method!r}")
+        self.method = method
         self.loss = loss
         self.kernel = kernel
         self.m = float(m)

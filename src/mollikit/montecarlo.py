@@ -43,21 +43,22 @@ _DIST_ALIASES = {
 }
 
 
-def error_density(name: str) -> ErrorDensity:
+def _dist_key(name: str) -> str:
     key = _DIST_ALIASES.get(name.lower())
     if key is None:
         raise ValueError(f"unknown error distribution {name!r}")
-    return standard_normal() if key == "normal01" else student_t4()
+    return key
+
+
+def error_density(name: str) -> ErrorDensity:
+    return standard_normal() if _dist_key(name) == "normal01" else student_t4()
 
 
 def error_quantile_shift(dist: str, tau: float) -> float:
     """Quantile Q_eps(tau) subtracted from the raw errors."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    key = _DIST_ALIASES.get(dist.lower())
-    if key is None:
-        raise ValueError(f"unknown error distribution {dist!r}")
-    if key == "normal01":
+    if _dist_key(dist) == "normal01":
         return float(normal_quantile(tau))
     return float(t4_quantile(tau))
 
@@ -76,10 +77,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "m_list", tuple(float(m) for m in self.m_list))
         object.__setattr__(self, "h_list", tuple(float(h) for h in self.h_list))
-        dist = _DIST_ALIASES.get(self.error_dist.lower())
-        if dist is None:
-            raise ValueError(f"unknown error distribution {self.error_dist!r}")
-        object.__setattr__(self, "error_dist", dist)
+        object.__setattr__(self, "error_dist", _dist_key(self.error_dist))
         if self.n < 10:
             raise ValueError("n must be at least 10")
         if self.replications < 1:
@@ -95,6 +93,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         known = dict(data)
+        if "M" in known and "replications" in known:
+            raise ValueError("config gives both 'M' and 'replications'")
         reps = known.pop("M", known.pop("replications", None))
         if reps is None:
             raise ValueError("config needs an 'M' entry")

@@ -173,10 +173,13 @@ def test_cdf_limits_and_symmetry():
         assert np.all(table(beyond) == total)
         assert np.all(table(-beyond) == 0.0)
         assert all(table(t) == total for t in beyond)
-    # NaN in, NaN out, with no warning
+    # NaN in, NaN out, with no warning, for the bump tables and the
+    # Gaussian closed forms
+    gaussian = [lambda t: kernel_cdf(GAUSS, t)] + [
+        lambda t, k=k: kernel_partial_moment(GAUSS, t, k) for k in (1, 2)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for table in tables:
+        for table in tables + gaussian:
             assert np.isnan(table(np.nan))
             out = table(np.array([np.nan, 0.5, -2.0]))
             assert np.isnan(out[0]) and np.all(np.isfinite(out[1:]))

@@ -38,13 +38,29 @@ def test_method_resolution():
     assert smoothed_loss(absolute_loss(), GAUSS, 2.0).method == "closed_form"
     assert smoothed_loss(check_loss(0.4), GAUSS, 2.0).method == "closed_form"
     assert smoothed_loss(relu_loss(), GAUSS, 2.0).method == "closed_form"
-    assert smoothed_loss(huber_loss(1.0), GAUSS, 2.0).method == "quadrature"
+    assert smoothed_loss(huber_loss(1.0), GAUSS, 2.0).method == "closed_form"
+    assert smoothed_loss(huber_loss(1.0), GAUSS, 2.0,
+                         method="closed_form").method == "closed_form"
     for loss in CATALOG:
         assert smoothed_loss(loss, BUMP, 2.0).method == "quadrature"
     with pytest.raises(ValueError):
         smoothed_loss(absolute_loss(), BUMP, 2.0, method="closed_form")
     with pytest.raises(ValueError):
-        smoothed_loss(huber_loss(1.0), GAUSS, 2.0, method="closed_form")
+        smoothed_loss(absolute_loss(), GAUSS, 2.0, method="spline")
+
+
+def test_closed_form_is_the_object_itself():
+    # on the Gaussian kernel the public functions are the object's own
+    # exact methods, bit for bit
+    grid = np.linspace(-2.0, 2.0, 81)
+    for loss in CATALOG:
+        s = smoothed_loss(loss, GAUSS, 6.0)
+        for fn, own in ((smooth_value, s.value),
+                        (smooth_derivative, s.derivative),
+                        (smooth_second_derivative, s.second_derivative)):
+            assert np.array_equal(fn(s, grid), own(grid))
+            got = fn(s, 0.37)
+            assert isinstance(got, float) and got == own(0.37)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +295,7 @@ def test_pointwise_derivative_convergence():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("m", [1.0, 5.0, 15.0])
-@pytest.mark.parametrize("loss", [absolute_loss(), check_loss(0.3), relu_loss()],
-                         ids=lambda lo: lo.label)
+@pytest.mark.parametrize("loss", CATALOG, ids=lambda lo: lo.label)
 def test_closed_form_matches_quadrature(loss, m):
     grid = np.linspace(-3, 3, 601)
     closed = smoothed_loss(loss, GAUSS, m, method="closed_form")

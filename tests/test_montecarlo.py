@@ -68,6 +68,10 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"n": 100, "tau": 0.5,
                                     "error_dist": "t4", "m_list": [5]})
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_dict({"n": 100, "M": 5, "replications": 900,
+                                    "tau": 0.5, "error_dist": "t4",
+                                    "m_list": [5]})
 
 
 # ---------------------------------------------------------------------------
