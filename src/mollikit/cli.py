@@ -4,8 +4,8 @@ Subcommands: curve (loss and smoothed-loss samples to CSV), rate
 (sup-error per scale), simulate (RMSE experiment), mad (surrogate
 distance experiment) and diagnose (rate diagnostics as JSON).
 
-Exit codes: 0 success, 2 usage or config error, 3 experiment quality
-failure (too many excluded replications).
+Exit codes: 0 success, 2 usage, config or output-file error, 3
+experiment quality failure (too many excluded replications).
 """
 from __future__ import annotations
 
@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUALITY
-    except (UsageError, MollikitError, ValueError) as exc:
+    except (UsageError, MollikitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

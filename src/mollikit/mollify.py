@@ -163,8 +163,9 @@ class PartialMomentSmoother:
 
     def __init__(self, loss: LossSpec, kernel: MollifierKernel, m: float,
                  method: str = "auto"):
-        if not m > 0:
-            raise InvalidScaleError(f"smoothing scale must be positive, got {m}")
+        if not 0 < m < np.inf:
+            raise InvalidScaleError(
+                f"smoothing scale must be positive and finite, got {m}")
         gaussian = kernel.kind == "gaussian"
         if method == "auto":
             method = CLOSED_FORM if gaussian else QUADRATURE

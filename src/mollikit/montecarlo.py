@@ -8,6 +8,12 @@ smoothed fits (bump kernel) and the Gaussian convolution baseline, and
 a MAD experiment measuring the distance between the normalized
 smoothed fit and the quadratic-surrogate minimizer.
 
+Both drivers share one replication path.  `_record` draws replication
+j, hands it to the experiment's fit body (`_rmse_fits` or `_mad_fits`,
+which fill in the record's fields and return their fits) and marks the
+record excluded on non-convergence or a library error; `_run` runs the
+records inline or in a process pool and applies the 1% exclusion gate.
+
 Reproducibility contract: replication j draws from a dedicated stream
 seeded by (base_seed, j), so results are identical for any worker
 count and any replication order, and extending M preserves the prefix.
@@ -17,7 +23,9 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import sqrt
+from functools import partial
+from math import inf, sqrt
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -25,7 +33,7 @@ import numpy as np
 from .distributions import (ErrorDensity, normal_quantile, standard_normal,
                             student_t4, t4_quantile)
 from .errors import ExperimentError, MollikitError
-from .estimator import (LinearSample, SolverOptions, fit_convolution_baseline,
+from .estimator import (FitResult, LinearSample, fit_convolution_baseline,
                         fit_exact_scalar_quantile, fit_smoothed)
 from .kernels import parse_kernel
 from .losses import check_loss, expected_curvature
@@ -75,8 +83,14 @@ class ExperimentConfig:
     kernel: str = "bump"
 
     def __post_init__(self):
-        object.__setattr__(self, "m_list", tuple(float(m) for m in self.m_list))
-        object.__setattr__(self, "h_list", tuple(float(h) for h in self.h_list))
+        for name in ("n", "replications", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("m_list", "h_list"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a list of numbers, not a string")
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         object.__setattr__(self, "error_dist", _dist_key(self.error_dist))
         if self.n < 10:
             raise ValueError("n must be at least 10")
@@ -85,8 +99,8 @@ class ExperimentConfig:
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
         parse_kernel(self.kernel)
-        if any(m <= 0 for m in self.m_list):
-            raise ValueError("every m must be positive")
+        if any(not 0.0 < m < inf for m in self.m_list):
+            raise ValueError("every m must be positive and finite")
         if any(not 0.0 < h < 1.0 for h in self.h_list):
             raise ValueError("every h must lie in (0, 1)")
 
@@ -103,7 +117,7 @@ class ExperimentConfig:
         unknown = set(known) - allowed
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(replications=int(reps), **known)
+        return cls(replications=reps, **known)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -171,25 +185,41 @@ def _key(v: float) -> str:
     return f"{v:g}"
 
 
-def _rmse_record(config: ExperimentConfig, j: int, solver: SolverOptions,
-                 generator: Callable) -> dict:
+def _rmse_fits(rec: dict, config: ExperimentConfig,
+               sample: LinearSample) -> list[FitResult]:
+    loss = check_loss(config.tau)
+    kern = parse_kernel(config.kernel)
+    rec["theta_tau"] = fit_exact_scalar_quantile(sample, config.tau)
+    fits_m = [(_key(m), fit_smoothed(sample, loss, kern, m)) for m in config.m_list]
+    fits_h = [(_key(h), fit_convolution_baseline(sample, config.tau, h))
+              for h in config.h_list]
+    rec["theta_m"] = {k: float(fit.theta_hat[0]) for k, fit in fits_m}
+    rec["theta_h"] = {k: float(fit.theta_hat[0]) for k, fit in fits_h}
+    return [fit for _, fit in fits_m + fits_h]
+
+
+def _mad_fits(rec: dict, config: ExperimentConfig, sample: LinearSample,
+              a: float) -> list[FitResult]:
+    loss = check_loss(config.tau)
+    kern = parse_kernel(config.kernel)
+    bq = float(beta_Q(build_quadratic(sample, loss, a))[0])
+    rec["beta_q"] = bq
+    fits = [(_key(m), fit_smoothed(sample, loss, kern, m)) for m in config.m_list]
+    beta_m = {k: sqrt(sample.n) * (float(fit.theta_hat[0]) - THETA0)
+              for k, fit in fits}
+    rec["beta_m"] = beta_m
+    rec["gap_m"] = {k: abs(bm - bq) for k, bm in beta_m.items()}
+    return [fit for _, fit in fits]
+
+
+def _record(fits: Callable, config: ExperimentConfig, generator: Callable,
+            j: int) -> dict:
+    """Audit record of replication j: its seed, the fields `fits` fills
+    in, and whether (and why) it is excluded."""
     rec = {"replication": j, "seed": f"{config.base_seed}:{j}", "failed": False}
     try:
-        sample = generator(config, j)
-        loss = check_loss(config.tau)
-        kern = parse_kernel(config.kernel)
-        rec["theta_tau"] = fit_exact_scalar_quantile(sample, config.tau)
-        theta_m, theta_h = {}, {}
-        ok = True
-        for m in config.m_list:
-            fit = fit_smoothed(sample, loss, kern, m, solver)
-            ok &= fit.converged
-            theta_m[_key(m)] = float(fit.theta_hat[0])
-        for h in config.h_list:
-            fit = fit_convolution_baseline(sample, config.tau, h, solver)
-            ok &= fit.converged
-            theta_h[_key(h)] = float(fit.theta_hat[0])
-        rec["theta_m"], rec["theta_h"] = theta_m, theta_h
+        results = fits(rec, config, generator(config, j))
+        ok = all(fit.converged for fit in results)
         rec["failed"] = not ok
         if not ok:
             rec["error"] = "solver did not converge"
@@ -199,77 +229,36 @@ def _rmse_record(config: ExperimentConfig, j: int, solver: SolverOptions,
     return rec
 
 
-def _mad_record(config: ExperimentConfig, j: int, a: float,
-                solver: SolverOptions, generator: Callable) -> dict:
-    rec = {"replication": j, "seed": f"{config.base_seed}:{j}", "failed": False}
-    try:
-        sample = generator(config, j)
-        loss = check_loss(config.tau)
-        kern = parse_kernel(config.kernel)
-        q = build_quadratic(sample, loss, a)
-        bq = float(beta_Q(q)[0])
-        rec["beta_q"] = bq
-        beta_m, gaps = {}, {}
-        ok = True
-        for m in config.m_list:
-            fit = fit_smoothed(sample, loss, kern, m, solver)
-            ok &= fit.converged
-            bm = sqrt(sample.n) * (float(fit.theta_hat[0]) - THETA0)
-            beta_m[_key(m)] = bm
-            gaps[_key(m)] = abs(bm - bq)
-        rec["beta_m"], rec["gap_m"] = beta_m, gaps
-        rec["failed"] = not ok
-        if not ok:
-            rec["error"] = "solver did not converge"
-    except _REPLICATION_ERRORS as exc:
-        rec["failed"] = True
-        rec["error"] = f"{type(exc).__name__}: {exc}"
-    return rec
+def _run(fits: Callable, config: ExperimentConfig, threads: int,
+         generator: Callable | None) -> tuple[list[dict], int, list[dict]]:
+    """Every replication's record, the excluded count and the kept records.
 
-
-def _rmse_task(args):
-    config, j, solver = args
-    return _rmse_record(config, j, solver, generate_sample)
-
-
-def _mad_task(args):
-    config, j, a, solver = args
-    return _mad_record(config, j, a, solver, generate_sample)
-
-
-def _collect(task_fn, tasks, threads: int) -> list[dict]:
-    if threads > 1:
-        chunk = max(1, len(tasks) // (threads * 8))
+    A test `generator` forces the run inline (hooks cannot cross process
+    boundaries).  More than 1% excluded replications fails the run.
+    """
+    task = partial(_record, fits, config, generator or generate_sample)
+    replications = range(config.replications)
+    if generator is None and threads > 1:
+        chunk = max(1, config.replications // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(task_fn, tasks, chunksize=chunk))
-    return [task_fn(t) for t in tasks]
-
-
-def _gate_exclusions(records: list[dict], total: int) -> int:
+            records = list(ex.map(task, replications, chunksize=chunk))
+    else:
+        records = [task(j) for j in replications]
     excluded = sum(1 for r in records if r["failed"])
-    if excluded > 0.01 * total:
-        raise ExperimentError(
-            f"{excluded}/{total} replications failed (> 1% exclusion gate)")
-    return excluded
+    if excluded > 0.01 * config.replications:
+        raise ExperimentError(f"{excluded}/{config.replications} replications "
+                              "failed (> 1% exclusion gate)")
+    return records, excluded, [r for r in records if not r["failed"]]
 
 
 def run_rmse_experiment(config: ExperimentConfig, threads: int = 1,
-                        generator: Callable | None = None,
-                        solver: SolverOptions = SolverOptions(),
-                        ) -> ExperimentResult:
+                        generator: Callable | None = None) -> ExperimentResult:
     """RMSE of the exact, smoothed and convolution fits against theta0.
 
     `generator` is a test hook replacing the sample generator; when set
-    the run is forced inline (hooks cannot cross process boundaries).
+    the run is forced inline.
     """
-    if generator is not None:
-        records = [_rmse_record(config, j, solver, generator)
-                   for j in range(config.replications)]
-    else:
-        tasks = [(config, j, solver) for j in range(config.replications)]
-        records = _collect(_rmse_task, tasks, threads)
-    excluded = _gate_exclusions(records, config.replications)
-    good = [r for r in records if not r["failed"]]
+    records, excluded, good = _run(_rmse_fits, config, threads, generator)
 
     def rmse(values):
         arr = np.array(values) - THETA0
@@ -292,9 +281,7 @@ def analytic_curvature(config: ExperimentConfig) -> float:
 
 
 def run_mad_experiment(config: ExperimentConfig, threads: int = 1,
-                       generator: Callable | None = None,
-                       solver: SolverOptions = SolverOptions(),
-                       ) -> ExperimentResult:
+                       generator: Callable | None = None) -> ExperimentResult:
     """Mean absolute distance between the normalized smoothed fit and
     the quadratic-surrogate minimizer, per smoothing scale.
 
@@ -303,15 +290,8 @@ def run_mad_experiment(config: ExperimentConfig, threads: int = 1,
     """
     if config.tau != 0.5:
         raise ValueError("the MAD experiment requires tau = 0.5")
-    a = analytic_curvature(config)
-    if generator is not None:
-        records = [_mad_record(config, j, a, solver, generator)
-                   for j in range(config.replications)]
-    else:
-        tasks = [(config, j, a, solver) for j in range(config.replications)]
-        records = _collect(_mad_task, tasks, threads)
-    excluded = _gate_exclusions(records, config.replications)
-    good = [r for r in records if not r["failed"]]
+    fits = partial(_mad_fits, a=analytic_curvature(config))
+    records, excluded, good = _run(fits, config, threads, generator)
     mad_m = {_key(m): float(np.mean([r["gap_m"][_key(m)] for r in good]))
              for m in config.m_list}
     return ExperimentResult(config=config, kind="mad", mad_m=mad_m,
@@ -333,29 +313,18 @@ def _cell_label(config: ExperimentConfig) -> str:
 
 def rmse_table_csv(results: list[ExperimentResult]) -> str:
     """Rows are estimator/parameter, one column per (dist, tau, n) cell."""
-    rows: list[tuple[str, str]] = [("RMSE_tau", "")]
-    seen = []
-    for res in results:
-        for m in res.config.m_list:
-            if ("RMSE_m", f"m={_key(m)}") not in seen:
-                seen.append(("RMSE_m", f"m={_key(m)}"))
-        for h in res.config.h_list:
-            if ("RMSE_h", f"h={_key(h)}") not in seen:
-                seen.append(("RMSE_h", f"h={_key(h)}"))
-    rows += sorted((r for r in seen if r[0] == "RMSE_m"), key=lambda r: float(r[1][2:]))
-    rows += sorted((r for r in seen if r[0] == "RMSE_h"), key=lambda r: float(r[1][2:]))
+    def keys(attr):
+        return sorted({_key(v) for res in results for v in getattr(res.config, attr)},
+                      key=float)
+
+    rows = [("RMSE_tau", "", lambda res: res.rmse_tau)]
+    rows += [("RMSE_m", f"m={k}", lambda res, k=k: res.rmse_m.get(k))
+             for k in keys("m_list")]
+    rows += [("RMSE_h", f"h={k}", lambda res, k=k: res.rmse_h.get(k))
+             for k in keys("h_list")]
     lines = ["estimator,param," + ",".join(_cell_label(r.config) for r in results)]
-    for name, param in rows:
-        cells = []
-        for res in results:
-            if name == "RMSE_tau":
-                cells.append(_fmt(res.rmse_tau) if res.rmse_tau is not None else "")
-            elif name == "RMSE_m":
-                cells.append(_fmt(res.rmse_m[param[2:]])
-                             if param[2:] in res.rmse_m else "")
-            else:
-                cells.append(_fmt(res.rmse_h[param[2:]])
-                             if param[2:] in res.rmse_h else "")
+    for name, param, get in rows:
+        cells = ("" if get(res) is None else _fmt(get(res)) for res in results)
         lines.append(f"{name},{param}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -363,21 +332,11 @@ def rmse_table_csv(results: list[ExperimentResult]) -> str:
 def mad_table_csv(results: list[ExperimentResult]) -> str:
     """Rows are (dist, m), one column per sample size."""
     ns = sorted({res.config.n for res in results})
-    keys = []
-    for res in results:
-        for m in res.config.m_list:
-            entry = (res.config.error_dist, _key(m))
-            if entry not in keys:
-                keys.append(entry)
+    rows = dict.fromkeys((res.config.error_dist, _key(m))
+                         for res in results for m in res.config.m_list)
+    cells = {(res.config.error_dist, k, res.config.n): _fmt(v)
+             for res in results for k, v in res.mad_m.items()}
     lines = ["dist,m," + ",".join(f"n={n}" for n in ns)]
-    for dist, mkey in keys:
-        cells = []
-        for n in ns:
-            hit = ""
-            for res in results:
-                if res.config.n == n and res.config.error_dist == dist \
-                        and mkey in res.mad_m:
-                    hit = _fmt(res.mad_m[mkey])
-            cells.append(hit)
-        lines.append(f"{dist},{mkey}," + ",".join(cells))
+    lines += [f"{dist},{k}," + ",".join(cells.get((dist, k, n), "") for n in ns)
+              for dist, k in rows]
     return "\n".join(lines) + "\n"

@@ -168,6 +168,21 @@ def test_malformed_config_exits_2(tmp_path):
     rc = cli.main(["simulate", "--config", str(badkeys),
                    "--out", str(tmp_path / "x")])
     assert rc == 2
+    for command, tau in (("simulate", 0.3), ("mad", 0.5)):
+        nan_m = _write_config(tmp_path / "nan.json", tau=tau,
+                              m_list=[float("nan")], h_list=[])
+        rc = cli.main([command, "--config", str(nan_m),
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    rc = cli.main(["rate", "--loss", "abs", "--kernel", "bump", "--m", "5",
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_experiment_quality_failure_exits_3(tmp_path, monkeypatch):

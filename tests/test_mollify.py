@@ -32,6 +32,11 @@ def test_scale_validation():
         smoothed_loss(absolute_loss(), BUMP, -3.0)
     with pytest.raises(InvalidScaleError):
         PartialMomentSmoother(absolute_loss(), BUMP, 0.0)
+    for m in (np.inf, np.nan):
+        with pytest.raises(InvalidScaleError):
+            PartialMomentSmoother(absolute_loss(), GAUSS, m)
+        with pytest.raises(InvalidScaleError):
+            smoothed_loss(absolute_loss(), BUMP, m)
 
 
 def test_method_resolution():

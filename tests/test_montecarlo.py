@@ -50,6 +50,21 @@ def test_config_validation():
         _cfg(h_list=(1.5,))
     with pytest.raises(ValueError):
         _cfg(kernel="uniform")
+    for m in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _cfg(m_list=(5.0, m))
+    with pytest.raises(ValueError):
+        _cfg(m_list="15")
+    with pytest.raises(ValueError):
+        _cfg(h_list="0.5")
+    with pytest.raises(ValueError):
+        _cfg(n=50.5)
+    with pytest.raises(ValueError):
+        _cfg(replications=2.7)
+    with pytest.raises(ValueError):
+        _cfg(replications=True)
+    with pytest.raises(ValueError):
+        _cfg(base_seed=1.5)
 
 
 def test_config_json_round_trip(tmp_path):
@@ -72,6 +87,12 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"n": 100, "M": 5, "replications": 900,
                                     "tau": 0.5, "error_dist": "t4",
                                     "m_list": [5]})
+    good = {"n": 100, "M": 5, "tau": 0.5, "error_dist": "t4", "m_list": [5]}
+    assert ExperimentConfig.from_dict(good).replications == 5
+    for bad in ({"m_list": [float("nan")]}, {"m_list": [float("inf")]},
+                {"m_list": "15"}, {"h_list": "0.5"}, {"n": 50.5}, {"M": 2.7}):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict({**good, **bad})
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +227,22 @@ def test_exclusion_audit_below_gate():
 
 
 @pytest.mark.parametrize("run", [run_rmse_experiment, run_mad_experiment])
+def test_generator_hook_forces_inline(run):
+    # a closure cannot be pickled, so it only runs if the hook keeps the
+    # run in this process whatever the thread count
+    seen = []
+
+    def hook(config, j):
+        seen.append(j)
+        return generate_sample(config, j)
+
+    cfg = _cfg(replications=6, m_list=(5.0, 10.0), h_list=(0.5,))
+    hooked = run(cfg, threads=2, generator=hook)
+    assert seen == list(range(6))
+    assert hooked.to_dict() == run(cfg, threads=1).to_dict()
+
+
+@pytest.mark.parametrize("run", [run_rmse_experiment, run_mad_experiment])
 def test_programming_error_propagates(run):
     # only library, linear-algebra and floating-point errors exclude a
     # replication; a bug must crash, not count as an exclusion
@@ -270,6 +307,27 @@ def test_rmse_table_layout():
     assert lines[0].startswith("estimator,param,")
     names = [ln.split(",")[0] for ln in lines[1:]]
     assert names == ["RMSE_tau", "RMSE_m", "RMSE_m", "RMSE_h"]
+    # cells with different scale lists: rows are the sorted union of
+    # their m and h values, and a cell without a value is blank
+    first = ExperimentResult(config=_cfg(m_list=(10.0, 5.0), h_list=(0.1,)),
+                             kind="rmse", rmse_tau=0.5,
+                             rmse_m={"10": 0.25, "5": 0.125},
+                             rmse_h={"0.1": 1.5})
+    second = ExperimentResult(config=_cfg(n=200, m_list=(20.0, 5.0),
+                                          h_list=(0.5, 0.1)),
+                              kind="rmse", rmse_tau=0.75,
+                              rmse_m={"20": 2.0, "5": 3.0},
+                              rmse_h={"0.5": 4.0, "0.1": 5.0})
+    assert rmse_table_csv([first, second]).split("\n") == [
+        "estimator,param,normal01 tau=0.5 n=100,normal01 tau=0.5 n=200",
+        "RMSE_tau,,0.5,0.75",
+        "RMSE_m,m=5,0.125,3",
+        "RMSE_m,m=10,0.25,",
+        "RMSE_m,m=20,,2",
+        "RMSE_h,h=0.1,1.5,5",
+        "RMSE_h,h=0.5,,4",
+        "",
+    ]
 
 
 def test_mad_table_layout():
