@@ -32,7 +32,7 @@ class ErrorDensity:
 
 def _as_same(template, arr):
     """Return arr as a float if template was scalar, else as ndarray."""
-    return float(arr) if np.ndim(template) == 0 else arr
+    return np.asarray(arr, dtype=float).item() if np.ndim(template) == 0 else arr
 
 
 def normal_pdf(x):

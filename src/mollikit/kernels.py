@@ -3,9 +3,11 @@
 Two kernels are supported.  The Gaussian kernel is the standard normal
 density on the whole line.  The bump kernel is the compactly supported
 density C*exp(-1/(1-v^2)) on (-1, 1), identically zero outside, with C
-fixed so the density integrates to one; every derivative vanishes at
-the support boundary, which is what makes convolution against it leave
-a loss untouched away from its kinks.
+fixed so the density has unit mass; every derivative vanishes at the
+support boundary, which is what makes convolution against it leave a
+loss untouched away from its kinks.
+The bump's C, absolute moments mu1, mu2 and CDF / partial-moment
+tables all come from one Gauss-Legendre pass per process.
 """
 from __future__ import annotations
 
@@ -17,18 +19,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from .distributions import _as_same, normal_pdf
-from .quadrature import integrate
 
 GAUSSIAN = "gaussian"
 BUMP = "bump"
 
-# Quadrature window for the Gaussian kernel: the mass beyond |v| = 8 is
-# below 1e-15 and is ignored by the integration paths.
-GAUSSIAN_WINDOW = 8.0
-
-# The bump is flat to machine precision near the boundary; splitting
-# panels at +/-0.99 keeps Gauss-Legendre convergence fast there.
-_BUMP_EDGE = 0.99
 # Below this squared distance to the boundary the bump value underflows
 # double precision by hundreds of orders of magnitude.
 _BUMP_GUARD = 1e-12
@@ -43,17 +37,6 @@ class MollifierKernel:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, BUMP):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        if self.kind == BUMP:
-            return (-1.0, 1.0)
-        return (-np.inf, np.inf)
-
-    @property
-    def window(self) -> float:
-        """Half-width of the integration window used by quadrature."""
-        return 1.0 if self.kind == BUMP else GAUSSIAN_WINDOW
 
 
 def gaussian_kernel() -> MollifierKernel:
@@ -84,16 +67,10 @@ def _bump_raw(v: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
 def bump_normalizer() -> float:
-    """Constant C making C*exp(-1/(1-v^2)) integrate to one on [-1, 1].
-
-    Computed once per process by panel quadrature split at +/-0.99 and
-    cached; callers after the first see only the cached float.
-    """
-    mass = integrate(_bump_raw, [-1.0, -_BUMP_EDGE, 0.0, _BUMP_EDGE, 1.0],
-                     target=1e-14)
-    return 1.0 / mass
+    """Constant C making C*exp(-1/(1-v^2)) a unit-mass density on
+    [-1, 1], from the bump table pass (once per process)."""
+    return _bump_pass()[2]
 
 
 def kernel_value(kernel: MollifierKernel, v) -> float | np.ndarray:
@@ -131,21 +108,13 @@ def kernel_derivative(kernel: MollifierKernel, v, order: int) -> float | np.ndar
     return _as_same(v, out)
 
 
-@lru_cache(maxsize=None)
-def _bump_abs_moment(k: int) -> float:
-    # symmetry: mu_k = 2 * int_0^1 v^k phi(v) dv, so the |v| kink at 0
-    # never enters the integrand
-    return 2.0 * integrate(lambda v: v**k * kernel_value(bump_kernel(), v),
-                           [0.0, _BUMP_EDGE, 1.0], target=1e-13)
-
-
 def kernel_abs_moment(kernel: MollifierKernel, k: int) -> float:
     """Absolute moment mu_k = int |v|^k phi(v) dv for k in {0, 1, 2}."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
     if kernel.kind == GAUSSIAN:
         return (1.0, sqrt(2.0 / pi), 1.0)[k]
-    return _bump_abs_moment(k)
+    return _bump_pass()[1][k]
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +122,11 @@ def kernel_abs_moment(kernel: MollifierKernel, k: int) -> float:
 # the smoothing integrals (see mollify.PartialMomentSmoother): the CDF and
 # the partial moments int_{-inf}^t v^k phi(v) dv for k = 1, 2.  The Gaussian
 # versions are closed form.  The bump versions come from one dense
-# cumulative Gauss-Legendre pass per process on a uniform grid; between
-# nodes they are cubic Hermite pieces.  Their node derivatives phi, v*phi
-# and v^2*phi are known exactly, so each piece follows from its two end
-# nodes alone (interpolation error is a few 1e-16 at the grid spacing).
+# Gauss-Legendre pass per process on a uniform grid, which also gives C,
+# mu1 and mu2; between nodes they are cubic Hermite pieces.  Their node
+# derivatives phi, v*phi and v^2*phi are known exactly, so each piece
+# follows from its two end nodes alone (interpolation error is a few
+# 1e-16 at the grid spacing).
 # ---------------------------------------------------------------------------
 
 _TABLE_POINTS = 8193
@@ -178,30 +148,39 @@ def _hermite_rows(values, slopes, h):
             np.concatenate([-2.0 * rise + lo + hi, pad]))
 
 
+def _cumulative(seg):
+    """Running sums of seg from 0, each accurately rounded: the exact
+    error of every addition (TwoSum) is carried forward."""
+    out = np.concatenate([[0.0], np.cumsum(seg)])
+    added = out[1:] - out[:-1]
+    out[1:] += np.cumsum((out[:-1] - (out[1:] - added)) + (seg - added))
+    return out
+
+
 @lru_cache(maxsize=1)
-def _bump_tables():
+def _bump_pass():
+    """(tables, moments, C): lookup rows of int_{-1}^t v^k phi(v) dv and
+    absolute moments mu_k, by k = 0, 1, 2, and the normalizer C."""
     grid = np.linspace(-1.0, 1.0, _TABLE_POINTS)
     x, w = np.polynomial.legendre.leggauss(_SEGMENT_NODES)
     lo, hi = grid[:-1], grid[1:]
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * x
-    phi = kernel_value(bump_kernel(), nodes)
-    seg0 = (phi * w).sum(axis=1) * half
-    seg1 = (phi * nodes * w).sum(axis=1) * half
-    seg2 = (phi * nodes * nodes * w).sum(axis=1) * half
+    raw = _bump_raw(nodes) * w
+    seg0, seg1, seg2 = ((raw * nodes**k).sum(axis=1) * half for k in range(3))
+    c = 1.0 / seg0.sum()
+    # grid[_TABLE_POINTS // 2] is v = 0; by symmetry mu1 = 2 int_0^1 v phi
+    mu1 = 2.0 * c * seg1[_TABLE_POINTS // 2:].sum()
+    mu2 = c * seg2.sum()
 
-    def cumulative(seg):
-        out = np.zeros(grid.size)
-        np.cumsum(seg, out=out[1:])
-        return out
-
-    cdf = cumulative(seg0)
+    cdf = _cumulative(seg0)
     cdf /= cdf[-1]                       # pin total mass to exactly one
     h = 1.0 / _TABLE_SCALE
-    phi_grid = kernel_value(bump_kernel(), grid)
-    return (_hermite_rows(cdf, phi_grid, h),
-            _hermite_rows(cumulative(seg1), grid * phi_grid, h),
-            _hermite_rows(cumulative(seg2), grid * grid * phi_grid, h))
+    phi_grid = c * _bump_raw(grid)
+    tables = (_hermite_rows(cdf, phi_grid, h),
+              _hermite_rows(c * _cumulative(seg1), grid * phi_grid, h),
+              _hermite_rows(c * _cumulative(seg2), grid * grid * phi_grid, h))
+    return tables, (1.0, float(mu1), float(mu2)), float(c)
 
 
 def _table_lookup(rows, x: np.ndarray) -> np.ndarray:
@@ -226,7 +205,7 @@ def kernel_cdf(kernel: MollifierKernel, t) -> float | np.ndarray:
     x = np.asarray(t, dtype=float)
     if kernel.kind == GAUSSIAN:
         return _as_same(t, ndtr(x))
-    return _as_same(t, _table_lookup(_bump_tables()[0], x))
+    return _as_same(t, _table_lookup(_bump_pass()[0][0], x))
 
 
 def kernel_partial_moment(kernel: MollifierKernel, t, k: int) -> float | np.ndarray:
@@ -245,4 +224,4 @@ def kernel_partial_moment(kernel: MollifierKernel, t, k: int) -> float | np.ndar
             out = np.where(finite, ndtr(xf) - xf * phi,
                            np.where(x > 0, 1.0, 0.0))
         return _as_same(t, out)
-    return _as_same(t, _table_lookup(_bump_tables()[k], x))
+    return _as_same(t, _table_lookup(_bump_pass()[0][k], x))

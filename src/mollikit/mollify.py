@@ -11,16 +11,19 @@ the scaled kernel m*phi(m.), evaluated here as
 boundary terms vanish because every kernel derivative does).
 `PartialMomentSmoother` is the smoothed loss: it evaluates these
 integrals exactly, by summing them by parts over the loss pieces, so
-that one kernel CDF/partial-moment/density lookup per kink remains.
-Kink-split panel quadrature is the independent reference
-(method "quadrature").  Method "closed_form" names the exact route on
-the Gaussian kernel, whose CDF and partial moments are closed forms;
-"auto" picks it there and quadrature for the bump kernel.
+that one kernel CDF/partial-moment/density lookup per kink remains
+(no terms against the kernel totals: see the class).  Kink-split panel
+quadrature is the independent reference (method "quadrature"); it and
+`expected_derivative_gap` are the only users of `mollikit.quadrature`.
+Method "closed_form" names the exact route on the Gaussian kernel,
+whose CDF and partial moments are closed forms; "auto" picks it there
+and quadrature for the bump kernel.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .distributions import _as_same
 from .errors import InvalidScaleError
 from .kernels import (MollifierKernel, kernel_cdf, kernel_derivative,
                       kernel_partial_moment, kernel_value)
@@ -45,6 +48,10 @@ def smoothed_loss(loss: LossSpec, kernel: MollifierKernel, m: float,
 # ---------------------------------------------------------------------------
 
 def _base_breaks(kernel: MollifierKernel) -> tuple[float, ...]:
+    """Fixed panel boundaries in kernel space; the ends bound the window.
+    The bump is flat to machine precision near its edge: splitting at
+    +/-0.99 keeps convergence fast.  Gaussian mass beyond +/-8 is below
+    1e-15; the split at +/-2 separates the bulk from the tails."""
     if kernel.kind == "bump":
         return (-1.0, -0.99, 0.99, 1.0)
     return (-8.0, -2.0, 2.0, 8.0)
@@ -55,12 +62,12 @@ def _v_breaks(loss: LossSpec, kernel: MollifierKernel, m: float,
     """Panel boundaries in kernel space, one row per evaluation point.
 
     Every loss kink k maps to v = m*(k - u); kinks outside the window
-    clip to the edge and become zero-width panels.
+    clip to its ends and become zero-width panels.
     """
-    w = kernel.window
-    cols = [np.full(u.shape, b) for b in _base_breaks(kernel)]
+    base = _base_breaks(kernel)
+    cols = [np.full(u.shape, b) for b in base]
     for k in loss.kinks:
-        cols.append(np.clip(m * (k - u), -w, w))
+        cols.append(np.clip(m * (k - u), base[0], base[-1]))
     return np.sort(np.stack(cols, axis=1), axis=1)
 
 
@@ -101,8 +108,7 @@ def _second_quadrature(s: PartialMomentSmoother, u: np.ndarray) -> np.ndarray:
 def _dispatch(s: PartialMomentSmoother, u, exact, quad):
     if s.method == CLOSED_FORM:
         return exact(u)
-    out = quad(s, np.atleast_1d(np.asarray(u, dtype=float)))
-    return float(out[0]) if np.ndim(u) == 0 else out
+    return _as_same(u, quad(s, np.atleast_1d(np.asarray(u, dtype=float))))
 
 
 def smooth_value(s: PartialMomentSmoother, u) -> float | np.ndarray:
@@ -142,20 +148,23 @@ class PartialMomentSmoother:
     onto kernel CDF C, partial moments P1, P2 and density phi evaluated
     at the kinks k_i mapped into kernel space, t_i = m*(k_i - u).
     Summing by parts over the pieces leaves the last piece's
-    coefficients (alpha_K, s_K, q_K) against the kernel totals M1, M2,
-    minus one term per kink carrying the coefficient jumps across it:
+    coefficients (alpha_K, s_K) against the kernel's unit mass, minus
+    one term per kink carrying the coefficient jumps across it:
 
-        value  = alpha_K + s_K (u + M1/m) + q_K/2 (u^2 + 2u M1/m + M2/m^2)
+        value  = alpha_K + s_K u
                  - sum_i [(da_i + ds_i u) C + ds_i P1/m
                           + dq_i/2 (u^2 C + 2u P1/m + P2/m^2)]
-        deriv  = s_K + q_K (u + M1/m) - sum_i [(ds_i + dq_i u) C + dq_i P1/m]
-        deriv2 = q_K + sum_i [m (ds_i + dq_i k_i) phi - dq_i C]
+        deriv  = s_K - sum_i [(ds_i + dq_i u) C + dq_i P1/m]
+        deriv2 = sum_i [m (ds_i + dq_i k_i) phi - dq_i C]
 
     (the last line uses t_i + m u = m k_i; ds_i + dq_i k_i is the
-    subgradient jump at k_i).  This is algebraically the same object as
-    the quadrature path (the tests pin the two together) but costs one
-    kernel lookup per kink and point, which is what makes Newton
-    iterations over full residual vectors cheap.
+    subgradient jump at k_i).  Terms of q_K and s_K against the kernel
+    totals M1, M2 vanish: every catalog loss is Lipschitz, so linear on
+    its last piece (q_K = 0), and both kernels are symmetric (M1 = 0).
+    This is algebraically the same object as the quadrature path (the
+    tests pin the two together) but costs one kernel lookup per kink
+    and point, which is what makes Newton iterations over full residual
+    vectors cheap.
 
     `method` ("auto", "closed_form" or "quadrature", as in the module
     docstring) says how `smooth_value` and its siblings evaluate it.
@@ -181,16 +190,10 @@ class PartialMomentSmoother:
         pieces = np.array(loss_pieces(loss))     # rows (lo, hi, alpha, slope, quad)
         kinks = pieces[1:, 0]
         self._kinks = kinks[:, None]
-        self._alpha, self._slope, self._quad = pieces[-1, 2:]
+        self._alpha, self._slope = pieces[-1, 2:4]
         self._d_alpha, self._d_slope, self._d_quad = np.diff(pieces[:, 2:], axis=0).T
         self._d_psi = self.m * (self._d_slope + self._d_quad * kinks)
         self._has_quad = bool(np.any(pieces[:, 4]))
-        self._mu1 = float(kernel_partial_moment(kernel, np.inf, 1)) / self.m
-        self._mu2 = float(kernel_partial_moment(kernel, np.inf, 2)) / self.m**2
-
-    @staticmethod
-    def _wrap(u, acc):
-        return float(acc[0]) if np.ndim(u) == 0 else acc
 
     def value(self, u) -> float | np.ndarray:
         arr = np.atleast_1d(np.asarray(u, dtype=float))
@@ -199,19 +202,18 @@ class PartialMomentSmoother:
         cdf = kernel_cdf(self.kernel, t)
         pm1 = kernel_partial_moment(self.kernel, t, 1) / m
         ucdf = arr * cdf
-        acc = (self._alpha + self._slope * (arr + self._mu1)
+        acc = (self._alpha + self._slope * arr
                - self._d_alpha @ cdf - self._d_slope @ (ucdf + pm1))
         if self._has_quad:
             pm2 = kernel_partial_moment(self.kernel, t, 2) / (m * m)
-            acc += 0.5 * (self._quad * (arr * (arr + 2.0 * self._mu1) + self._mu2)
-                          - self._d_quad @ (arr * (ucdf + 2.0 * pm1) + pm2))
-        return self._wrap(u, acc)
+            acc -= 0.5 * (self._d_quad @ (arr * (ucdf + 2.0 * pm1) + pm2))
+        return _as_same(u, acc)
 
     def derivative(self, u) -> float | np.ndarray:
-        return self._wrap(u, self.curvature_pair(u)[0])
+        return _as_same(u, self.curvature_pair(u)[0])
 
     def second_derivative(self, u) -> float | np.ndarray:
-        return self._wrap(u, self.curvature_pair(u)[1])
+        return _as_same(u, self.curvature_pair(u)[1])
 
     def curvature_pair(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(derivative, second derivative) sharing one kernel lookup."""
@@ -222,9 +224,8 @@ class PartialMomentSmoother:
         curv = self._d_psi @ kernel_value(self.kernel, t)
         if self._has_quad:
             pm1 = kernel_partial_moment(self.kernel, t, 1) / self.m
-            grad += (self._quad * (arr + self._mu1)
-                     - self._d_quad @ (arr * cdf + pm1))
-            curv += self._quad - self._d_quad @ cdf
+            grad -= self._d_quad @ (arr * cdf + pm1)
+            curv -= self._d_quad @ cdf
         return grad, curv
 
 
@@ -242,20 +243,14 @@ def expected_derivative_gap(loss: LossSpec, kernel: MollifierKernel, m: float,
     """
     s = smoothed_loss(loss, kernel, m)
     radius = density.quad_breaks[-1]
-    pts = {-radius, radius}
-    pts.update(b for b in density.quad_breaks)
-    pts.update(-b for b in density.quad_breaks)
+    pts = {sign * b for b in density.quad_breaks for sign in (-1.0, 1.0)}
     for k in loss.kinks:
         pts.update((k, k - 1.0 / m, k + 1.0 / m))
     breaks = np.array(sorted(p for p in pts if -radius <= p <= radius))
 
-    def f(u):
-        vals = np.abs(smooth_derivative(s, u) - loss_subgradient(loss, u))
-        return vals * density.pdf(u)
-
-    breaks2 = breaks.reshape(1, -1)
-
     def row_f(v):
-        return f(v.ravel()).reshape(v.shape)
+        u = v.ravel()
+        gap = np.abs(smooth_derivative(s, u) - loss_subgradient(loss, u))
+        return (gap * density.pdf(u)).reshape(v.shape)
 
-    return float(integrate_rows(row_f, breaks2, target=target)[0])
+    return float(integrate_rows(row_f, breaks[None, :], target=target)[0])

@@ -87,10 +87,17 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, value in (("error_dist", self.error_dist), ("kernel", self.kernel)):
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         for name in ("m_list", "h_list"):
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a list of numbers, not a string")
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            raw = getattr(self, name)
+            if isinstance(raw, str) or any(isinstance(v, bool) for v in raw):
+                raise ValueError(f"{name} must be a list of numbers, got {raw!r}")
+            values = tuple(float(v) for v in raw)
+            if len(set(map(_key, values))) < len(values):   # results are keyed by _key
+                raise ValueError(f"{name} has scales with the same label: {values}")
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "error_dist", _dist_key(self.error_dist))
         if self.n < 10:
             raise ValueError("n must be at least 10")

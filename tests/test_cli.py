@@ -169,11 +169,14 @@ def test_malformed_config_exits_2(tmp_path):
                    "--out", str(tmp_path / "x")])
     assert rc == 2
     for command, tau in (("simulate", 0.3), ("mad", 0.5)):
-        nan_m = _write_config(tmp_path / "nan.json", tau=tau,
-                              m_list=[float("nan")], h_list=[])
-        rc = cli.main([command, "--config", str(nan_m),
-                       "--out", str(tmp_path / "x")])
-        assert rc == 2
+        for bad in (dict(m_list=[float("nan")]), dict(error_dist=5),
+                    dict(kernel=3), dict(m_list=[5, 5.0000001]),
+                    dict(m_list=[True])):
+            path = _write_config(tmp_path / "bad_value.json", tau=tau,
+                                 **{"h_list": [], **bad})
+            rc = cli.main([command, "--config", str(path),
+                           "--out", str(tmp_path / "x")])
+            assert rc == 2, bad
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

@@ -112,6 +112,15 @@ def test_abs_moment_examples():
     assert kernel_abs_moment(BUMP, 2) == pytest.approx(MU2_BUMP, abs=1e-12)
 
 
+def test_bump_table_totals_match_moments():
+    # the tables and the constants come from one pass over the bump
+    mu1, mu2 = kernel_abs_moment(BUMP, 1), kernel_abs_moment(BUMP, 2)
+    assert kernel_partial_moment(BUMP, np.inf, 2) == pytest.approx(
+        mu2, rel=1e-15, abs=0.0)
+    assert -2.0 * kernel_partial_moment(BUMP, 0.0, 1) == pytest.approx(
+        mu1, rel=1e-15, abs=0.0)
+
+
 def test_gaussian_moments_against_quadrature():
     for k in (1, 2):
         val = integrate(lambda v: np.abs(v) ** k * kernel_value(GAUSS, v),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import t as student_t
 
 from mollikit.distributions import ErrorDensity, standard_normal, student_t4
 from mollikit.errors import CurvatureUndefinedError
@@ -131,9 +132,13 @@ def test_expected_curvature_absolute_normal():
     assert mc == pytest.approx(2 * INV_SQRT_2PI, abs=0.05)
 
 
-def test_expected_curvature_huber_normal():
-    a = expected_curvature(huber_loss(1.0), standard_normal())
-    assert a == pytest.approx(NORMAL_MASS_PM1, abs=1e-10)
+@pytest.mark.parametrize("density,mass", [
+    (standard_normal(), NORMAL_MASS_PM1),
+    (student_t4(), student_t(4).cdf(1.0) - student_t(4).cdf(-1.0)),
+], ids=["normal01", "t4"])
+def test_expected_curvature_huber(density, mass):
+    a = expected_curvature(huber_loss(1.0), density)
+    assert a == pytest.approx(mass, abs=1e-10)
 
 
 def test_expected_curvature_t4():

@@ -65,6 +65,11 @@ def test_config_validation():
         _cfg(replications=True)
     with pytest.raises(ValueError):
         _cfg(base_seed=1.5)
+    for bad in (dict(error_dist=5), dict(kernel=3), dict(m_list=(True,)),
+                dict(m_list=(5, 5.0000001)), dict(m_list=(5.0, 5.0)),
+                dict(h_list=(0.1, 0.1))):
+        with pytest.raises(ValueError):
+            _cfg(**bad)
 
 
 def test_config_json_round_trip(tmp_path):
@@ -90,7 +95,10 @@ def test_config_rejects_unknown_keys():
     good = {"n": 100, "M": 5, "tau": 0.5, "error_dist": "t4", "m_list": [5]}
     assert ExperimentConfig.from_dict(good).replications == 5
     for bad in ({"m_list": [float("nan")]}, {"m_list": [float("inf")]},
-                {"m_list": "15"}, {"h_list": "0.5"}, {"n": 50.5}, {"M": 2.7}):
+                {"m_list": "15"}, {"h_list": "0.5"}, {"n": 50.5}, {"M": 2.7},
+                {"error_dist": 5}, {"kernel": 3}, {"m_list": [True]},
+                {"m_list": [5, 5.0000001]}, {"m_list": [5, 5]},
+                {"h_list": [0.5, 0.5]}):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({**good, **bad})
 
