@@ -1,8 +1,11 @@
 """Command line front end.
 
 Subcommands: curve (loss and smoothed-loss samples to CSV), rate
-(sup-error per scale), simulate (RMSE experiment), mad (surrogate
-distance experiment) and diagnose (rate diagnostics as JSON).
+(sup-error per scale) and diagnose (rate diagnostics as JSON), which
+share the --loss/--kernel/--m/--grid flags; simulate (RMSE experiment)
+and mad (surrogate distance experiment), which read a JSON config
+holding one experiment cell or a list of cells and write one JSON and
+one CSV table over all of them.
 
 Exit codes: 0 success, 2 usage, config or output-file error, 3
 experiment quality failure (too many excluded replications).
@@ -40,8 +43,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise UsageError(f"bad grid {spec!r}, expected lo:hi:step")
     lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi <= lo:
-        raise UsageError(f"bad grid {spec!r}: need hi > lo and step > 0")
+    if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi <= lo:
+        raise UsageError(f"bad grid {spec!r}: need finite hi > lo and step > 0")
     count = int(np.floor((hi - lo) / step + 1e-9))
     return np.linspace(lo, lo + count * step, count + 1)
 
@@ -63,11 +66,18 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
+def _write_json(path: str, payload):
+    _write(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _smoothing(args):
+    """(loss, kernel, m_list, grid) from the shared smoothing flags."""
+    return (parse_loss(args.loss), parse_kernel(args.kernel),
+            _parse_m_list(args.m), _parse_grid(args.grid))
+
+
 def cmd_curve(args) -> int:
-    loss = parse_loss(args.loss)
-    kernel = parse_kernel(args.kernel)
-    m_list = _parse_m_list(args.m)
-    grid = _parse_grid(args.grid)
+    loss, kernel, m_list, grid = _smoothing(args)
     smoothers = [smoothed_loss(loss, kernel, m) for m in m_list]
     cols = [grid, loss_value(loss, grid)]
     cols += [smooth_value(s, grid) for s in smoothers]
@@ -80,10 +90,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    loss = parse_loss(args.loss)
-    kernel = parse_kernel(args.kernel)
-    m_list = _parse_m_list(args.m)
-    grid = _parse_grid(args.grid)
+    loss, kernel, m_list, grid = _smoothing(args)
     lines = ["m,sup_error"]
     for m in m_list:
         err = sup_error(smoothed_loss(loss, kernel, m), grid)
@@ -92,47 +99,8 @@ def cmd_rate(args) -> int:
     return 0
 
 
-def _load_config(path: str) -> montecarlo.ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        seed_override = os.environ.get("MOLLIKIT_SEED")
-        if seed_override is not None:
-            data["base_seed"] = int(seed_override)
-        return montecarlo.ExperimentConfig.from_dict(data)
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad config {path}: {exc}") from exc
-
-
-def _emit_experiment(result: montecarlo.ExperimentResult, out: str,
-                     table: str) -> None:
-    payload = result.to_dict()
-    payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    with open(out + ".json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    _write(out + ".csv", table)
-
-
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    result = montecarlo.run_rmse_experiment(config, threads=args.threads)
-    _emit_experiment(result, args.out, montecarlo.rmse_table_csv([result]))
-    return 0
-
-
-def cmd_mad(args) -> int:
-    config = _load_config(args.config)
-    result = montecarlo.run_mad_experiment(config, threads=args.threads)
-    _emit_experiment(result, args.out, montecarlo.mad_table_csv([result]))
-    return 0
-
-
 def cmd_diagnose(args) -> int:
-    loss = parse_loss(args.loss)
-    kernel = parse_kernel(args.kernel)
-    m_list = _parse_m_list(args.m)
-    grid = _parse_grid(args.grid)
+    loss, kernel, m_list, grid = _smoothing(args)
     mu1 = kernel_abs_moment(kernel, 1)
     density = standard_normal()
     rows = []
@@ -148,11 +116,51 @@ def cmd_diagnose(args) -> int:
             "expected_derivative_gap": gap,
         })
         prev = err
-    payload = {"loss": loss.label, "kernel": kernel.kind, "grid": args.grid,
-               "rates": rows}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, {"loss": loss.label, "kernel": kernel.kind,
+                           "grid": args.grid, "rates": rows})
+    return 0
+
+
+def _load_config(path: str) -> tuple[list[montecarlo.ExperimentConfig], bool]:
+    """The config file's cells, and whether the file held a list of them.
+
+    Every cell is checked before any runs: one bad cell refuses the file.
+    `MOLLIKIT_SEED` replaces every cell's `base_seed`.
+    """
+    seed = os.environ.get("MOLLIKIT_SEED")
+    if seed is not None and not (seed.isascii() and seed.isdigit()):
+        raise UsageError(f"MOLLIKIT_SEED must be a nonnegative integer, got {seed!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad config {path}: {exc}") from exc
+    is_list = isinstance(data, list)
+    if is_list and not data:
+        raise UsageError(f"bad config {path}: the list of cells is empty")
+    configs = []
+    for i, cell in enumerate(data if is_list else [data]):
+        where = f"cell {i}: " if is_list else ""
+        try:
+            if not isinstance(cell, dict):
+                raise ValueError(f"a cell must be an object, got {type(cell).__name__}")
+            if seed is not None:
+                cell = {**cell, "base_seed": int(seed)}
+            configs.append(montecarlo.ExperimentConfig.from_dict(cell))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad config {path}: {where}{exc}") from exc
+    return configs, is_list
+
+
+def cmd_experiment(args) -> int:
+    """Run every cell of the config, then write PREFIX.json (one payload,
+    or a list of them for a list config) and PREFIX.csv (one table)."""
+    configs, is_list = _load_config(args.config)
+    results = [args.run(config, threads=args.threads) for config in configs]
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
+    payloads = [{**result.to_dict(), "timestamp": stamp} for result in results]
+    _write_json(args.out + ".json", payloads if is_list else payloads[0])
+    _write(args.out + ".csv", args.table(results))
     return 0
 
 
@@ -163,39 +171,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "run the associated estimation experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    curve = sub.add_parser("curve", help="sample loss and smoothed curves to CSV")
-    curve.add_argument("--loss", required=True,
-                       help="abs | check:TAU | huber:C | relu")
-    curve.add_argument("--kernel", required=True, help="gaussian | bump")
-    curve.add_argument("--m", required=True, help="comma-separated scales")
-    curve.add_argument("--grid", required=True, help="lo:hi:step")
-    curve.add_argument("--out", required=True)
-    curve.set_defaults(func=cmd_curve)
+    for name, func, blurb, grid in (
+            ("curve", cmd_curve, "sample loss and smoothed curves to CSV", None),
+            ("rate", cmd_rate, "sup-error per smoothing scale to CSV",
+             _DEFAULT_RATE_GRID),
+            ("diagnose", cmd_diagnose, "rate diagnostics as JSON",
+             _DEFAULT_RATE_GRID)):
+        cmd = sub.add_parser(name, help=blurb)
+        cmd.add_argument("--loss", required=True,
+                         help="abs | check:TAU | huber:C | relu")
+        cmd.add_argument("--kernel", required=True, help="gaussian | bump")
+        cmd.add_argument("--m", required=True, help="comma-separated scales")
+        cmd.add_argument("--grid", required=grid is None, default=grid,
+                         help="lo:hi:step")
+        cmd.add_argument("--out", required=True)
+        cmd.set_defaults(func=func)
 
-    rate = sub.add_parser("rate", help="sup-error per smoothing scale to CSV")
-    rate.add_argument("--loss", required=True)
-    rate.add_argument("--kernel", required=True)
-    rate.add_argument("--m", required=True)
-    rate.add_argument("--grid", default=_DEFAULT_RATE_GRID)
-    rate.add_argument("--out", required=True)
-    rate.set_defaults(func=cmd_rate)
-
-    for name, func, blurb in (("simulate", cmd_simulate, "RMSE experiment"),
-                              ("mad", cmd_mad, "surrogate-distance experiment")):
-        cmd = sub.add_parser(name, help=f"run the {blurb} from a JSON config")
+    for name, run, table, blurb in (
+            ("simulate", montecarlo.run_rmse_experiment,
+             montecarlo.rmse_table_csv, "RMSE experiment"),
+            ("mad", montecarlo.run_mad_experiment,
+             montecarlo.mad_table_csv, "surrogate-distance experiment")):
+        cmd = sub.add_parser(name, help=f"run the {blurb} from a JSON config "
+                                        "of one cell or a list of cells")
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", required=True,
                          help="output prefix; writes PREFIX.json and PREFIX.csv")
         cmd.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-        cmd.set_defaults(func=func)
-
-    diag = sub.add_parser("diagnose", help="rate diagnostics as JSON")
-    diag.add_argument("--loss", required=True)
-    diag.add_argument("--kernel", required=True)
-    diag.add_argument("--m", required=True)
-    diag.add_argument("--grid", default=_DEFAULT_RATE_GRID)
-    diag.add_argument("--out", required=True)
-    diag.set_defaults(func=cmd_diagnose)
+        cmd.set_defaults(func=cmd_experiment, run=run, table=table)
     return parser
 
 

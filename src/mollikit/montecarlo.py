@@ -20,12 +20,11 @@ count and any replication order, and extending M preserves the prefix.
 """
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from math import inf, sqrt
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -71,6 +70,11 @@ def error_quantile_shift(dist: str, tau: float) -> float:
     return float(t4_quantile(tau))
 
 
+def _is_a(value, kind) -> bool:
+    """`value` is an instance of the numeric ABC `kind`, and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int
@@ -85,14 +89,16 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n", "replications", "base_seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not _is_a(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name, value in (("error_dist", self.error_dist), ("kernel", self.kernel)):
             if not isinstance(value, str):
                 raise ValueError(f"{name} must be a string, got {value!r}")
+        if not _is_a(self.tau, Real):
+            raise ValueError(f"tau must be a number, got {self.tau!r}")
         for name in ("m_list", "h_list"):
             raw = getattr(self, name)
-            if isinstance(raw, str) or any(isinstance(v, bool) for v in raw):
+            if isinstance(raw, str) or not all(_is_a(v, Real) for v in raw):
                 raise ValueError(f"{name} must be a list of numbers, got {raw!r}")
             values = tuple(float(v) for v in raw)
             if len(set(map(_key, values))) < len(values):   # results are keyed by _key
@@ -103,6 +109,8 @@ class ExperimentConfig:
             raise ValueError("n must be at least 10")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be nonnegative")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
         parse_kernel(self.kernel)
@@ -125,11 +133,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(replications=reps, **known)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "M": self.replications, "tau": self.tau,

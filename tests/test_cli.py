@@ -16,11 +16,21 @@ from mollikit.kernels import bump_kernel, kernel_abs_moment
 MU1_BUMP = kernel_abs_moment(bump_kernel(), 1)
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _cell(**kw):
+    return {**dict(n=100, M=10, tau=0.3, error_dist="t4", m_list=[5],
+                   h_list=[0.5], base_seed=7, kernel="bump"), **kw}
+
+
 def _write_config(path, **kw):
-    base = dict(n=100, M=10, tau=0.3, error_dist="t4", m_list=[5],
-                h_list=[0.5], base_seed=7, kernel="bump")
-    base.update(kw)
-    path.write_text(json.dumps(base))
+    path.write_text(json.dumps(_cell(**kw)))
+    return path
+
+
+def _write_cells(path, cells):
+    path.write_text(json.dumps(cells))
     return path
 
 
@@ -71,10 +81,16 @@ def test_curve_bad_loss_grammar(tmp_path):
     assert rc == 2
 
 
-def test_curve_bad_grid(tmp_path):
+def test_curve_bad_grid(tmp_path, capsys):
     rc = cli.main(["curve", "--loss", "abs", "--kernel", "bump", "--m", "5",
                    "--grid", "3:1:0.5", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+    for grid in ("nan:1:0.1", "0:inf:0.1", "-inf:1:0.1", "0:1:nan", "0:1:inf"):
+        rc = cli.main(["curve", "--loss", "abs", "--kernel", "bump", "--m", "5",
+                       "--grid", grid, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2, grid
+        assert capsys.readouterr().err.startswith("error: bad grid"), grid
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -151,7 +167,7 @@ def test_mad_cli(tmp_path):
     assert rows[0] == ["dist", "m", "n=100"]
 
 
-def test_malformed_config_exits_2(tmp_path):
+def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     rc = cli.main(["simulate", "--config", str(bad),
@@ -177,6 +193,18 @@ def test_malformed_config_exits_2(tmp_path):
             rc = cli.main([command, "--config", str(path),
                            "--out", str(tmp_path / "x")])
             assert rc == 2, bad
+        # numeric fields refuse strings and negative seeds, naming the field
+        for bad, name in ((dict(tau=str(tau)), "tau"), (dict(m_list=["5"]), "m_list"),
+                          (dict(h_list=["0.5"]), "h_list"),
+                          (dict(base_seed=-1), "base_seed")):
+            path = _write_config(tmp_path / "bad_value.json",
+                                 **{"tau": tau, "h_list": [], **bad})
+            capsys.readouterr()
+            rc = cli.main([command, "--config", str(path),
+                           "--out", str(tmp_path / "x")])
+            assert rc == 2, bad
+            assert name in capsys.readouterr().err, bad
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -207,6 +235,118 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert rc == 0
     data = json.loads((tmp_path / "s.json").read_text())
     assert data["config"]["base_seed"] == 123456
+
+
+def test_seed_env_rejects_non_integers(tmp_path, monkeypatch, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", M=3)
+    for raw in ("abc", "1.5", "-1", ""):
+        monkeypatch.setenv("MOLLIKIT_SEED", raw)
+        rc = cli.main(["simulate", "--config", str(cfg),
+                       "--out", str(tmp_path / "s"), "--threads", "1"])
+        assert rc == 2, raw
+        assert capsys.readouterr().err == (
+            f"error: MOLLIKIT_SEED must be a nonnegative integer, got {raw!r}\n")
+    assert not (tmp_path / "s.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# config files holding a list of cells
+# ---------------------------------------------------------------------------
+
+def _forbid_runs(monkeypatch):
+    def never(config, threads):
+        raise AssertionError("no cell may run when the config is refused")
+
+    monkeypatch.setattr(cli.montecarlo, "run_rmse_experiment", never)
+    monkeypatch.setattr(cli.montecarlo, "run_mad_experiment", never)
+
+
+@pytest.mark.parametrize("command, tau", [("simulate", 0.3), ("mad", 0.5)])
+def test_one_cell_list_matches_object(tmp_path, command, tau):
+    cell = _cell(M=4, tau=tau, m_list=[5, 10])
+    obj = _write_cells(tmp_path / "obj.json", cell)
+    lst = _write_cells(tmp_path / "list.json", [cell])
+    for cfg, out in ((obj, "o"), (lst, "l")):
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / out), "--threads", "1"]) == 0
+    single = json.loads((tmp_path / "o.json").read_text())
+    listed = json.loads((tmp_path / "l.json").read_text())
+    assert isinstance(listed, list) and len(listed) == 1
+    single.pop("timestamp"), listed[0].pop("timestamp")
+    assert listed[0] == single
+    assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
+
+
+def test_list_config_combines_cells(tmp_path, monkeypatch):
+    monkeypatch.setenv("MOLLIKIT_SEED", "99")
+    cells = [_cell(M=3), _cell(M=3, error_dist="normal01", tau=0.7, n=120)]
+    cfg = _write_cells(tmp_path / "cells.json", cells)
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "s"), "--threads", "1"]) == 0
+    data = json.loads((tmp_path / "s.json").read_text())
+    assert [d["config"]["n"] for d in data] == [100, 120]
+    assert {d["config"]["base_seed"] for d in data} == {99}
+    rows = _read_csv(tmp_path / "s.csv")
+    assert rows[0] == ["estimator", "param", "t4 tau=0.3 n=100",
+                       "normal01 tau=0.7 n=120"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "mad"])
+def test_bad_list_config_runs_nothing(tmp_path, monkeypatch, capsys, command):
+    _forbid_runs(monkeypatch)
+    tau = 0.3 if command == "simulate" else 0.5
+    good = _cell(M=3, tau=tau)
+    cases = {
+        "empty": ([], "empty"),
+        "not an object": ([good, 5], "cell 1: "),
+        "bad second cell": ([good, {**good, "tau": 1.5}], "cell 1: tau"),
+        "unknown key": ([good, good, {**good, "bogus": 1}], "cell 2: "),
+    }
+    for case, (cells, message) in cases.items():
+        cfg = _write_cells(tmp_path / "cells.json", cells)
+        rc = cli.main([command, "--config", str(cfg),
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2, case
+        assert message in capsys.readouterr().err, case
+        assert not (tmp_path / "x.json").exists(), case
+        assert not (tmp_path / "x.csv").exists(), case
+
+
+def test_list_exclusion_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch):
+    real = cli.montecarlo.run_rmse_experiment
+    ran = []
+
+    def second_fails(config, threads):
+        ran.append(config.n)
+        if config.n == 120:
+            raise ExperimentError("3/3 replications failed")
+        return real(config, threads=threads)
+
+    monkeypatch.setattr(cli.montecarlo, "run_rmse_experiment", second_fails)
+    cfg = _write_cells(tmp_path / "cells.json", [_cell(M=3), _cell(M=3, n=120)])
+    rc = cli.main(["simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "x"), "--threads", "1"])
+    assert rc == 3
+    assert ran == [100, 120]
+    assert not (tmp_path / "x.json").exists()
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("name, cells, kind", [("rmse_grid.json", 8, "rmse"),
+                                               ("mad_grid.json", 4, "mad")])
+def test_paper_grids_are_valid_configs(monkeypatch, name, cells, kind):
+    monkeypatch.delenv("MOLLIKIT_SEED", raising=False)
+    configs, is_list = cli._load_config(str(REPO / name))
+    assert is_list and len(configs) == cells
+    assert {(c.replications, c.base_seed, c.kernel) for c in configs} == \
+        {(1000, 20260810, "bump")}
+    assert all(c.m_list == (5.0, 10.0, 15.0) for c in configs)
+    labels = {(c.error_dist, c.tau, c.n) for c in configs}
+    taus = (0.3, 0.7) if kind == "rmse" else (0.5,)
+    assert labels == {(d, t, n) for d in ("t4", "normal01") for t in taus
+                      for n in (100, 200)}
+    assert all(c.h_list == ((0.1, 0.5, 0.9) if kind == "rmse" else ())
+               for c in configs)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +390,14 @@ def test_every_subcommand_runs(tmp_path):
     assert set(argvs) == set(subparsers.choices)
     for name, argv in argvs.items():
         assert cli.main([name, *argv]) == 0, name
+    # a config may also hold a list of cells
+    for name, tau in (("simulate", 0.3), ("mad", 0.5)):
+        cfg = _write_cells(tmp_path / f"{name}_cells.json",
+                           [_cell(M=3, tau=tau), _cell(M=3, tau=tau, n=120)])
+        out = tmp_path / f"{name}_cells_out"
+        assert cli.main([name, "--config", str(cfg), "--out", str(out),
+                         "--threads", "1"]) == 0, name
+        assert len(json.loads(Path(f"{out}.json").read_text())) == 2, name
 
 
 # slow scipy packages that importing the CLI must not load: only the d > 1

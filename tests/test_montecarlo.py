@@ -70,13 +70,19 @@ def test_config_validation():
                 dict(h_list=(0.1, 0.1))):
         with pytest.raises(ValueError):
             _cfg(**bad)
+    # numeric fields refuse strings and negative seeds, naming the field
+    for bad, name in ((dict(tau="0.3"), "tau"), (dict(m_list=("5",)), "m_list"),
+                      (dict(h_list=("0.5",)), "h_list"),
+                      (dict(base_seed=-1), "base_seed")):
+        with pytest.raises(ValueError, match=name):
+            _cfg(**bad)
 
 
 def test_config_json_round_trip(tmp_path):
     cfg = _cfg(m_list=(5.0, 10.0), h_list=(0.1,), error_dist="t4")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    again = ExperimentConfig.from_json(path)
+    again = ExperimentConfig.from_dict(json.loads(path.read_text()))
     assert again == cfg
 
 
@@ -98,7 +104,8 @@ def test_config_rejects_unknown_keys():
                 {"m_list": "15"}, {"h_list": "0.5"}, {"n": 50.5}, {"M": 2.7},
                 {"error_dist": 5}, {"kernel": 3}, {"m_list": [True]},
                 {"m_list": [5, 5.0000001]}, {"m_list": [5, 5]},
-                {"h_list": [0.5, 0.5]}):
+                {"h_list": [0.5, 0.5]}, {"tau": "0.5"}, {"m_list": ["5"]},
+                {"h_list": ["0.5"]}, {"base_seed": -1}):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({**good, **bad})
 
