@@ -61,6 +61,12 @@ def _parse_m_list(spec: str) -> tuple[float, ...]:
     return values
 
 
+def _thread_count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _write(path: str, text: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -121,7 +127,8 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _load_config(path: str) -> tuple[list[montecarlo.ExperimentConfig], bool]:
+def _load_config(path: str, check=None
+                 ) -> tuple[list[montecarlo.ExperimentConfig], bool]:
     """The config file's cells, and whether the file held a list of them.
 
     Every cell is checked before any runs: one bad cell refuses the file.
@@ -147,6 +154,8 @@ def _load_config(path: str) -> tuple[list[montecarlo.ExperimentConfig], bool]:
             if seed is not None:
                 cell = {**cell, "base_seed": int(seed)}
             configs.append(montecarlo.ExperimentConfig.from_dict(cell))
+            if check is not None:
+                check(configs[-1])
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config {path}: {where}{exc}") from exc
     return configs, is_list
@@ -155,7 +164,7 @@ def _load_config(path: str) -> tuple[list[montecarlo.ExperimentConfig], bool]:
 def cmd_experiment(args) -> int:
     """Run every cell of the config, then write PREFIX.json (one payload,
     or a list of them for a list config) and PREFIX.csv (one table)."""
-    configs, is_list = _load_config(args.config)
+    configs, is_list = _load_config(args.config, args.check)
     results = [args.run(config, threads=args.threads) for config in configs]
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     payloads = [{**result.to_dict(), "timestamp": stamp} for result in results]
@@ -187,18 +196,18 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True)
         cmd.set_defaults(func=func)
 
-    for name, run, table, blurb in (
-            ("simulate", montecarlo.run_rmse_experiment,
+    for name, run, check, table, blurb in (
+            ("simulate", montecarlo.run_rmse_experiment, None,
              montecarlo.rmse_table_csv, "RMSE experiment"),
-            ("mad", montecarlo.run_mad_experiment,
+            ("mad", montecarlo.run_mad_experiment, montecarlo.check_mad_config,
              montecarlo.mad_table_csv, "surrogate-distance experiment")):
         cmd = sub.add_parser(name, help=f"run the {blurb} from a JSON config "
                                         "of one cell or a list of cells")
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", required=True,
                          help="output prefix; writes PREFIX.json and PREFIX.csv")
-        cmd.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-        cmd.set_defaults(func=cmd_experiment, run=run, table=table)
+        cmd.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
+        cmd.set_defaults(func=cmd_experiment, run=run, check=check, table=table)
     return parser
 
 

@@ -60,11 +60,9 @@ def parse_kernel(text: str) -> MollifierKernel:
 def _bump_raw(v: np.ndarray) -> np.ndarray:
     """exp(-1/(1-v^2)) inside the open support, 0 outside (unnormalized)."""
     v = np.asarray(v, dtype=float)
-    gap = 1.0 - v * v
-    out = np.zeros(v.shape)
-    inside = gap > _BUMP_GUARD
-    out[inside] = np.exp(-1.0 / gap[inside])
-    return out
+    # a gap under the guard, NaN included, is lifted to the guard, where
+    # the exp underflows to 0
+    return np.exp(-1.0 / np.fmax(1.0 - v * v, _BUMP_GUARD))
 
 
 def bump_normalizer() -> float:
@@ -87,25 +85,19 @@ def kernel_derivative(kernel: MollifierKernel, v, order: int) -> float | np.ndar
     """phi^(order)(v) for order in {0, 1, 2}."""
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    if order == 0:
-        return kernel_value(kernel, v)
     x = np.asarray(v, dtype=float)
+    phi = kernel_value(kernel, x)
+    if order == 0:
+        return _as_same(v, phi)
     if kernel.kind == GAUSSIAN:
-        phi = normal_pdf(x)
-        out = -x * phi if order == 1 else (x * x - 1.0) * phi
-        return _as_same(v, out)
+        return _as_same(v, -x * phi if order == 1 else (x * x - 1.0) * phi)
     gap = 1.0 - x * x
-    out = np.zeros(x.shape)
-    inside = gap > _BUMP_GUARD
-    xg, gg = x[inside], gap[inside]
-    phi = bump_normalizer() * np.exp(-1.0 / gg)
-    g1 = -2.0 * xg / gg**2                       # (log phi)'
-    if order == 1:
-        out[inside] = phi * g1
-    else:
-        g1p = -2.0 * (1.0 + 3.0 * xg * xg) / gg**3
-        out[inside] = phi * (g1 * g1 + g1p)
-    return _as_same(v, out)
+    # where phi is 0, the log-derivative g may be inf or NaN
+    with np.errstate(all="ignore"):
+        g = -2.0 * x / gap**2                        # (log phi)'
+        if order == 2:                               # phi''/phi = g^2 + g'
+            g = g * g - 2.0 * (1.0 + 3.0 * x * x) / gap**3
+        return _as_same(v, np.where(phi > 0.0, phi * g, 0.0))
 
 
 def kernel_abs_moment(kernel: MollifierKernel, k: int) -> float:

@@ -1,9 +1,9 @@
 """Catalog of nonsmooth convex losses.
 
 Each loss carries its value, a right-continuous subgradient selection,
-its Lipschitz constant, its kink locations, and a curvature measure:
-the distributional second derivative split into point masses at the
-kinks plus a piecewise-constant density (only the Huber loss has one).
+a piece table (which gives its Lipschitz constant and kinks) and a
+curvature measure: the distributional second derivative split into point
+masses at the kinks plus a piecewise-constant density (only Huber has one).
 """
 from __future__ import annotations
 
@@ -48,18 +48,14 @@ class LossSpec:
 
     @property
     def lipschitz(self) -> float:
-        if self.kind == CHECK:
-            return max(self.tau, 1.0 - self.tau)
-        if self.kind == HUBER:
-            return self.c
-        return 1.0
+        """max |outer slope|; each catalog loss is linear outside its kinks."""
+        pieces = loss_pieces(self)
+        return max(abs(pieces[0][3]), abs(pieces[-1][3]))
 
     @property
     def kinks(self) -> tuple[float, ...]:
-        """Locations where the loss is not twice differentiable."""
-        if self.kind == HUBER:
-            return (-self.c, self.c)
-        return (0.0,)
+        """Where the loss is not twice differentiable: where pieces meet."""
+        return tuple(piece[0] for piece in loss_pieces(self)[1:])
 
     @property
     def coercive(self) -> bool:

@@ -13,8 +13,8 @@ boundary terms vanish because every kernel derivative does).
 integrals exactly, by summing them by parts over the loss pieces, so
 that one kernel CDF/partial-moment/density lookup per kink remains
 (no terms against the kernel totals: see the class).  Kink-split panel
-quadrature is the independent reference (method "quadrature"); it and
-`expected_derivative_gap` are the only users of `mollikit.quadrature`.
+quadrature is the independent reference (method "quadrature");
+`expected_derivative_gap` uses it only for its outer expectation.
 Method "closed_form" names the exact route on the Gaussian kernel,
 whose CDF and partial moments are closed forms; "auto" picks it there
 and quadrature for the bump kernel.
@@ -34,6 +34,7 @@ CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
 
 _QUAD_TARGET = 1e-11
+_GAP_TARGET = 1e-10
 _CHUNK_ROWS = 1024
 
 
@@ -234,7 +235,7 @@ class PartialMomentSmoother:
 # ---------------------------------------------------------------------------
 
 def expected_derivative_gap(loss: LossSpec, kernel: MollifierKernel, m: float,
-                            density, target: float = 1e-10) -> float:
+                            density) -> float:
     """E|rho_m'(e) - psi(e)| for e distributed as `density`.
 
     Integrates |smoothed derivative - subgradient| * pdf by panel
@@ -250,7 +251,7 @@ def expected_derivative_gap(loss: LossSpec, kernel: MollifierKernel, m: float,
 
     def row_f(v):
         u = v.ravel()
-        gap = np.abs(smooth_derivative(s, u) - loss_subgradient(loss, u))
+        gap = np.abs(s.derivative(u) - loss_subgradient(loss, u))
         return (gap * density.pdf(u)).reshape(v.shape)
 
-    return float(integrate_rows(row_f, breaks[None, :], target=target)[0])
+    return float(integrate_rows(row_f, breaks[None, :], target=_GAP_TARGET)[0])

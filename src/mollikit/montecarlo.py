@@ -290,16 +290,18 @@ def analytic_curvature(config: ExperimentConfig) -> float:
                               error_density(config.error_dist))
 
 
+def check_mad_config(config: ExperimentConfig):
+    """The MAD experiment is defined for the median only (tau = 0.5),
+    where the analytic curvature constant is the error density at zero."""
+    if config.tau != 0.5:
+        raise ValueError("the MAD experiment requires tau = 0.5")
+
+
 def run_mad_experiment(config: ExperimentConfig, threads: int = 1,
                        generator: Callable | None = None) -> ExperimentResult:
     """Mean absolute distance between the normalized smoothed fit and
-    the quadratic-surrogate minimizer, per smoothing scale.
-
-    Defined for the median experiment only (tau = 0.5), where the
-    analytic curvature constant is the error density at zero.
-    """
-    if config.tau != 0.5:
-        raise ValueError("the MAD experiment requires tau = 0.5")
+    the quadratic-surrogate minimizer, per smoothing scale."""
+    check_mad_config(config)
     fits = partial(_mad_fits, a=analytic_curvature(config))
     records, excluded, good = _run(fits, config, threads, generator)
     mad_m = {_key(m): float(np.mean([r["gap_m"][_key(m)] for r in good]))

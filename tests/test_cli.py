@@ -167,6 +167,28 @@ def test_mad_cli(tmp_path):
     assert rows[0] == ["dist", "m", "n=100"]
 
 
+def test_mad_list_refuses_tau_before_any_cell_runs(tmp_path, monkeypatch, capsys):
+    _forbid_runs(monkeypatch)
+    cells = [_cell(M=300, tau=0.5), _cell(tau=0.3)]
+    cfg = _write_cells(tmp_path / "cells.json", cells)
+    rc = cli.main(["mad", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "cell 1: the MAD experiment requires tau = 0.5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "1.5"])
+def test_threads_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys, threads):
+    _forbid_runs(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", M=3)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                  "--threads", threads])
+    assert err.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -336,7 +358,8 @@ def test_list_exclusion_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch
                                                ("mad_grid.json", 4, "mad")])
 def test_paper_grids_are_valid_configs(monkeypatch, name, cells, kind):
     monkeypatch.delenv("MOLLIKIT_SEED", raising=False)
-    configs, is_list = cli._load_config(str(REPO / name))
+    check = cli.montecarlo.check_mad_config if kind == "mad" else None
+    configs, is_list = cli._load_config(str(REPO / name), check)
     assert is_list and len(configs) == cells
     assert {(c.replications, c.base_seed, c.kernel) for c in configs} == \
         {(1000, 20260810, "bump")}

@@ -103,6 +103,29 @@ def test_boundary_flatness():
         assert np.all(np.abs(kernel_derivative(BUMP, v, order)) < 1e-8)
 
 
+def test_bump_edges_give_zero_not_nan():
+    # at the support edge, past it, at +/-inf and at NaN the density and
+    # its derivatives are 0, with no floating-point warning
+    edges = np.array([1.0, 1.0 + 1e-12, 2.0, np.inf, np.nan])
+    edges = np.concatenate([edges, -edges])
+    inside = np.array([1.0 - 1e-7, -(1.0 - 1e-7)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(kernel_value(BUMP, edges) == 0.0)
+        for order in (0, 1, 2):
+            assert np.all(kernel_derivative(BUMP, edges, order) == 0.0)
+            assert all(kernel_derivative(BUMP, v, order) == 0.0 for v in edges)
+            assert np.all(np.isfinite(kernel_derivative(BUMP, inside, order)))
+    goldens = {0.3: (0.7505444108033992, -0.5438070842676482, -2.1357830057559246),
+               -0.7: (0.31700438590781815, 1.7062904278006357, -2.621241460184752),
+               0.95: (7.912627117596185e-05, -0.015814849728791838,
+                      2.5278695718958764)}
+    for v, values in goldens.items():
+        for order, golden in enumerate(values):
+            assert kernel_derivative(BUMP, v, order) == pytest.approx(golden,
+                                                                     rel=1e-14)
+
+
 def test_abs_moment_examples():
     for kern in (BUMP, GAUSS):
         assert kernel_abs_moment(kern, 0) == pytest.approx(1.0, abs=1e-10)

@@ -7,8 +7,9 @@ from mollikit.distributions import ErrorDensity, standard_normal, student_t4
 from mollikit.errors import CurvatureUndefinedError
 from mollikit.kernels import bump_kernel
 from mollikit.losses import (absolute_loss, check_loss, expected_curvature,
-                             huber_loss, loss_curvature, loss_subgradient,
-                             loss_value, parse_loss, relu_loss)
+                             huber_loss, loss_curvature, loss_pieces,
+                             loss_subgradient, loss_value, parse_loss,
+                             relu_loss)
 from mollikit.mollify import PartialMomentSmoother
 
 ALL_LOSSES = [absolute_loss(), check_loss(0.3), check_loss(0.7),
@@ -44,6 +45,26 @@ def test_lipschitz_constants():
 def test_kinks():
     assert absolute_loss().kinks == (0.0,)
     assert huber_loss(2.0).kinks == (-2.0, 2.0)
+
+
+@pytest.mark.parametrize("loss", [absolute_loss(), check_loss(0.3), check_loss(0.7),
+                                  huber_loss(0.5), huber_loss(1.345), relu_loss()],
+                         ids=lambda lo: lo.label)
+def test_piece_table_matches_pointwise_definitions(loss):
+    pieces = np.array(loss_pieces(loss))        # rows (lo, hi, alpha, slope, quad)
+    lo, hi = pieces[:, 0], pieces[:, 1]
+    assert lo[0] == -np.inf and hi[-1] == np.inf
+    assert np.array_equal(hi[:-1], lo[1:])
+    kinks = lo[1:]
+    w = np.concatenate([np.linspace(-4, 4, 801), kinks, kinks - 1e-9,
+                        kinks + 1e-9])
+    # the piece holding w, right-continuous at each kink
+    row = pieces[np.searchsorted(kinks, w, side="right")]
+    alpha, slope, quad = row[:, 2], row[:, 3], row[:, 4]
+    assert np.allclose(alpha + slope * w + 0.5 * quad * w * w,
+                       loss_value(loss, w), rtol=1e-15, atol=1e-15)
+    assert np.allclose(slope + quad * w, loss_subgradient(loss, w),
+                       rtol=1e-15, atol=1e-15)
 
 
 def test_nonnegative_with_zero_minimum():

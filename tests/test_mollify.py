@@ -330,6 +330,24 @@ def test_piecewise_reduction_matches_quadrature(loss, kern):
 # expectation diagnostics
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("m", [5.0, 80.0])
+@pytest.mark.parametrize("loss", CATALOG, ids=lambda lo: lo.label)
+def test_bump_gap_matches_nested_quadrature(loss, m):
+    # the gap integrates the smoother's exact derivative; the reference
+    # integrates the kink-split quadrature derivative over the same breaks
+    density = standard_normal()
+    ref = smoothed_loss(loss, BUMP, m, method="quadrature")
+    radius = density.quad_breaks[-1]
+    pts = {sign * b for b in density.quad_breaks for sign in (-1.0, 1.0)}
+    for k in loss.kinks:
+        pts.update((k, k - 1.0 / m, k + 1.0 / m))
+    breaks = sorted(p for p in pts if -radius <= p <= radius)
+    nested = integrate(
+        lambda u: np.abs(smooth_derivative(ref, u) - loss_subgradient(loss, u))
+        * density.pdf(u), breaks, target=1e-10)
+    gap = expected_derivative_gap(loss, BUMP, m, density)
+    assert abs(gap - nested) <= 1e-13
+
 def test_expected_derivative_gap_bound():
     # E|rho_m' - psi| <= lipschitz * mu1 * int|f'| / m; for the standard
     # normal the total variation of the density is 2/sqrt(2*pi)
