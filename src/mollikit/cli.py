@@ -32,6 +32,8 @@ EXIT_USAGE = 2
 EXIT_QUALITY = 3
 
 _DEFAULT_RATE_GRID = "-3:3:0.001"
+# a grid with more points than this is refused before it is allocated
+MAX_GRID_POINTS = 10**7
 
 
 class UsageError(ValueError):
@@ -45,8 +47,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     lo, hi, step = (float(p) for p in parts)
     if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi <= lo:
         raise UsageError(f"bad grid {spec!r}: need finite hi > lo and step > 0")
-    count = int(np.floor((hi - lo) / step + 1e-9))
-    return np.linspace(lo, lo + count * step, count + 1)
+    count = np.floor((hi - lo) / step + 1e-9)
+    if count >= MAX_GRID_POINTS:
+        raise UsageError(f"bad grid {spec!r}: more than {MAX_GRID_POINTS} points")
+    return np.linspace(lo, lo + count * step, int(count) + 1)
 
 
 def _parse_m_list(spec: str) -> tuple[float, ...]:
@@ -118,7 +122,8 @@ def cmd_diagnose(args) -> int:
             "m": m,
             "sup_error": err,
             "uniform_bound": loss.lipschitz * mu1 / m,
-            "sup_error_ratio_to_previous": None if prev is None else prev / err,
+            "sup_error_ratio_to_previous":
+                None if prev is None or err == 0.0 else prev / err,
             "expected_derivative_gap": gap,
         })
         prev = err
@@ -214,16 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _absorb_dash_values(argv: list[str]) -> list[str]:
     """Let `--grid -2:2:0.5` parse even though the value starts with a dash."""
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok == "--grid" and nxt is not None and nxt.startswith("-") \
-                and ":" in nxt:
-            out.append(f"--grid={nxt}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] == "--grid" and tok.startswith("-") and ":" in tok:
+            out[-1] = f"--grid={tok}"
         else:
             out.append(tok)
     return out

@@ -24,7 +24,6 @@ class ErrorDensity:
     name: str
     pdf: Callable
     cdf: Callable
-    quantile: Callable
     # symmetric breakpoints handed to quadrature against this density;
     # the last entry is the truncation radius
     quad_breaks: tuple[float, ...] = field(default=())
@@ -81,7 +80,6 @@ def standard_normal() -> ErrorDensity:
         name="normal01",
         pdf=normal_pdf,
         cdf=lambda x: ndtr(np.asarray(x, dtype=float)),
-        quantile=normal_quantile,
         quad_breaks=(0.5, 1.0, 2.0, 4.0, 8.0, 10.0),
     )
 
@@ -91,6 +89,5 @@ def student_t4() -> ErrorDensity:
         name="t4",
         pdf=t4_pdf,
         cdf=t4_cdf,
-        quantile=t4_quantile,
         quad_breaks=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 2000.0),
     )

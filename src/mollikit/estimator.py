@@ -87,12 +87,6 @@ class FitResult:
     gradient_norm: float
 
 
-def _check_design(x: np.ndarray):
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv[-1] <= sv[0] * 1e-12 or sv[-1] == 0.0:
-        raise SingularDesignError("design matrix is rank deficient")
-
-
 def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
                  m: float, opts: SolverOptions = SolverOptions()) -> FitResult:
     """Minimize sum_t rho_m(y_t - x_t' theta) by damped Newton.
@@ -105,11 +99,13 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
     if not loss.coercive:
         raise NonCoerciveLossError(f"{loss.label} has no coercive objective")
     x, y = sample.x, sample.y
-    _check_design(x)
+    # the least-squares start's singular values double as the design check
+    theta, _, _, sv = np.linalg.lstsq(x, y, rcond=None)
+    if sv[-1] <= sv[0] * 1e-12 or sv[-1] == 0.0:
+        raise SingularDesignError("design matrix is rank deficient")
     smoother = PartialMomentSmoother(loss, kernel, m)
     n, d = x.shape
 
-    theta, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ theta
     obj = float(smoother.value(resid).sum())
     tol = opts.grad_tol * n

@@ -206,14 +206,9 @@ def kernel_partial_moment(kernel: MollifierKernel, t, k: int) -> float | np.ndar
         raise ValueError("k must be 1 or 2")
     x = np.asarray(t, dtype=float)
     if kernel.kind == GAUSSIAN:
-        # NaN takes the finite branch, so that it comes out as NaN
-        finite = ~np.isinf(x)
-        xf = np.where(finite, x, 0.0)
-        phi = normal_pdf(xf)
+        phi = normal_pdf(x)                   # P1 = -phi; P2 = Phi - t*phi
         if k == 1:
-            out = np.where(finite, -phi, 0.0)
-        else:
-            out = np.where(finite, ndtr(xf) - xf * phi,
-                           np.where(x > 0, 1.0, 0.0))
-        return _as_same(t, out)
+            return _as_same(t, -phi)
+        with np.errstate(invalid="ignore"):   # t*phi is inf*0 at +/-inf
+            return _as_same(t, ndtr(x) - np.where(np.isinf(x), 0.0, x * phi))
     return _as_same(t, _table_lookup(_bump_pass()[0][k], x))

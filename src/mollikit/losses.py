@@ -1,9 +1,10 @@
 """Catalog of nonsmooth convex losses.
 
 Each loss carries its value, a right-continuous subgradient selection,
-a piece table (which gives its Lipschitz constant and kinks) and a
-curvature measure: the distributional second derivative split into point
-masses at the kinks plus a piecewise-constant density (only Huber has one).
+and a piece table.  The table gives the Lipschitz constant, the kinks,
+coercivity and the curvature measure: the distributional second
+derivative split into point masses at the kinks plus a piecewise-constant
+density (only Huber has one).
 """
 from __future__ import annotations
 
@@ -59,8 +60,10 @@ class LossSpec:
 
     @property
     def coercive(self) -> bool:
-        """True when the loss has a unique finite minimizer direction-wise."""
-        return self.kind != RELU
+        """True when the loss grows without bound both ways: its outer
+        slopes have opposite signs."""
+        pieces = loss_pieces(self)
+        return pieces[0][3] < 0.0 < pieces[-1][3]
 
     @property
     def label(self) -> str:
@@ -163,12 +166,14 @@ class CurvatureMeasure:
 
 
 def loss_curvature(loss: LossSpec) -> CurvatureMeasure:
-    if loss.kind == ABSOLUTE:
-        return CurvatureMeasure(jumps=((0.0, 2.0),), density=())
-    if loss.kind in (CHECK, RELU):
-        return CurvatureMeasure(jumps=((0.0, 1.0),), density=())
-    c = loss.c
-    return CurvatureMeasure(jumps=(), density=((-c, c, 1.0),))
+    """Read off the piece table: a mass at each kink k where the
+    subgradient s + q*k jumps, and each piece's q as the density there."""
+    pieces = loss_pieces(loss)
+    jumps = ((k, (s + q * k) - (s_prev + q_prev * k))
+             for (*_, s_prev, q_prev), (k, _, _, s, q) in zip(pieces, pieces[1:]))
+    return CurvatureMeasure(
+        jumps=tuple((k, mass) for k, mass in jumps if mass != 0.0),
+        density=tuple((lo, hi, q) for lo, hi, _, _, q in pieces if q != 0.0))
 
 
 def expected_curvature(loss: LossSpec, density) -> float:

@@ -242,6 +242,8 @@ def expected_derivative_gap(loss: LossSpec, kernel: MollifierKernel, m: float,
     quadrature, splitting at every kink and at kink +/- 1/m where the
     integrand changes character.
     """
+    if not density.quad_breaks:
+        raise ValueError(f"density {density.name!r} has no quadrature breaks")
     s = smoothed_loss(loss, kernel, m)
     radius = density.quad_breaks[-1]
     pts = {sign * b for b in density.quad_breaks for sign in (-1.0, 1.0)}

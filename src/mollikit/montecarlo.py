@@ -23,7 +23,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from math import inf, sqrt
+from math import inf
 from numbers import Integral, Real
 from typing import Callable
 
@@ -36,7 +36,7 @@ from .estimator import (FitResult, LinearSample, fit_convolution_baseline,
                         fit_exact_scalar_quantile, fit_smoothed)
 from .kernels import parse_kernel
 from .losses import check_loss, expected_curvature
-from .quadratic import beta_Q, build_quadratic
+from .quadratic import beta_Q, beta_gap, build_quadratic
 
 THETA0 = 1.0
 
@@ -212,13 +212,12 @@ def _mad_fits(rec: dict, config: ExperimentConfig, sample: LinearSample,
               a: float) -> list[FitResult]:
     loss = check_loss(config.tau)
     kern = parse_kernel(config.kernel)
-    bq = float(beta_Q(build_quadratic(sample, loss, a))[0])
-    rec["beta_q"] = bq
+    bq = beta_Q(build_quadratic(sample, loss, a))
+    rec["beta_q"] = float(bq[0])
     fits = [(_key(m), fit_smoothed(sample, loss, kern, m)) for m in config.m_list]
-    beta_m = {k: sqrt(sample.n) * (float(fit.theta_hat[0]) - THETA0)
-              for k, fit in fits}
-    rec["beta_m"] = beta_m
-    rec["gap_m"] = {k: abs(bm - bq) for k, bm in beta_m.items()}
+    gaps = {k: beta_gap(sample, fit.theta_hat, bq) for k, fit in fits}
+    rec["beta_m"] = {k: float(bm[0]) for k, (bm, _) in gaps.items()}
+    rec["gap_m"] = {k: gap for k, (_, gap) in gaps.items()}
     return [fit for _, fit in fits]
 
 

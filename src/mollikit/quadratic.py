@@ -125,16 +125,23 @@ def approximation_gap(sample: LinearSample, loss: LossSpec, a: float,
     return float(np.max(np.abs(exact - quad)))
 
 
+def beta_gap(sample: LinearSample, theta_hat: np.ndarray,
+             beta_q: np.ndarray) -> tuple[np.ndarray, float]:
+    """(beta_m, |beta_m - beta_q|): a fit on the surrogate's scale,
+    beta_m = sqrt(n)*(theta_hat - theta0), and its distance to the
+    surrogate minimizer; the summand averaged by the MAD tables."""
+    sample.require_truth()
+    beta_m = sqrt(sample.n) * (theta_hat - sample.theta0)
+    return beta_m, float(np.linalg.norm(beta_m - beta_q))
+
+
 def minimizer_gap(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
                   m: float, a: float,
                   opts: SolverOptions = SolverOptions()) -> float:
-    """Distance between sqrt(n)*(smoothed fit - theta0) and the surrogate
-    minimizer; the summand averaged by the simulation MAD tables."""
+    """beta_gap's distance for the smoothed fit at scale m."""
     sample.require_truth()
     fit = fit_smoothed(sample, loss, kernel, m, opts)
-    beta_m = sqrt(sample.n) * (fit.theta_hat - sample.theta0)
-    q = build_quadratic(sample, loss, a)
-    return float(np.linalg.norm(beta_m - beta_Q(q)))
+    return beta_gap(sample, fit.theta_hat, beta_Q(build_quadratic(sample, loss, a)))[1]
 
 
 def loglog_scale(n: int) -> float:

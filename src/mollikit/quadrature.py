@@ -2,7 +2,7 @@
 
 Both entry points split the integration range at caller-supplied
 breakpoints (kinks of the integrand must be among them), apply a
-fixed-order Gauss-Legendre rule on every panel, then halve all panels
+50-node Gauss-Legendre rule on every panel, then halve all panels
 together until two successive composite estimates agree to an absolute
 target.  `integrate` handles one integral; `integrate_rows` handles a
 batch of integrals that share panel count but not panel positions,
@@ -10,43 +10,35 @@ which is how grid/residual sweeps stay vectorized.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import QuadratureError
 
-DEFAULT_NODES = 50
 DEFAULT_TARGET = 1e-12
 
-
-@lru_cache(maxsize=None)
-def _gl_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(50)
 
 
-def _composite(f, lo, hi, level, nodes):
+def _composite(f, lo, hi, level):
     """One composite pass: each (lo, hi) panel split into 2**level parts.
 
     lo/hi have shape (B, P); f maps node arrays of shape (B, T) to values.
     Returns estimates of shape (B,).
     """
-    x, w = _gl_rule(nodes)
     parts = 1 << level
     frac = np.arange(parts) / parts
     width = (hi - lo) / parts                      # (B, P)
     sub_lo = lo[..., None] + (hi - lo)[..., None] * frac   # (B, P, parts)
     half = 0.5 * width[..., None]                  # (B, P, 1) broadcast
     center = sub_lo + half
-    nodes_v = center[..., None] + half[..., None] * x  # (B, P, parts, N)
+    nodes_v = center[..., None] + half[..., None] * _GL_X  # (B, P, parts, N)
     b = nodes_v.shape[0]
     vals = f(nodes_v.reshape(b, -1)).reshape(nodes_v.shape)
-    return np.einsum("bpsn,n,bps->b", vals, w, np.broadcast_to(half, vals.shape[:3]))
+    return np.einsum("bpsn,n,bps->b", vals, _GL_W,
+                     np.broadcast_to(half, vals.shape[:3]))
 
 
-def integrate_rows(f, breaks, target=DEFAULT_TARGET, nodes=DEFAULT_NODES,
-                   max_halvings=9):
+def integrate_rows(f, breaks, target=DEFAULT_TARGET, max_halvings=9):
     """Batched panel quadrature.
 
     breaks: (B, K) array, sorted along axis 1 (repeated values make
@@ -56,12 +48,12 @@ def integrate_rows(f, breaks, target=DEFAULT_TARGET, nodes=DEFAULT_NODES,
     """
     breaks = np.asarray(breaks, dtype=float)
     lo, hi = breaks[:, :-1], breaks[:, 1:]
-    est = _composite(f, lo, hi, 0, nodes)
+    est = _composite(f, lo, hi, 0)
     for level in range(1, max_halvings + 1):
-        if lo.size * (1 << level) * nodes > 3e8:
+        if lo.size * (1 << level) * _GL_X.size > 3e8:
             raise QuadratureError("quadrature node budget exceeded; "
                                   "reduce the batch size")
-        new = _composite(f, lo, hi, level, nodes)
+        new = _composite(f, lo, hi, level)
         done = np.max(np.abs(new - est))
         est = new
         if done < target:
@@ -71,8 +63,7 @@ def integrate_rows(f, breaks, target=DEFAULT_TARGET, nodes=DEFAULT_NODES,
         f"after {max_halvings} halvings (last change {done:.3e})")
 
 
-def integrate(f, breakpoints, target=DEFAULT_TARGET, nodes=DEFAULT_NODES,
-              max_halvings=12):
+def integrate(f, breakpoints, target=DEFAULT_TARGET, max_halvings=12):
     """Integrate a vectorized scalar function over [b_0, b_K].
 
     breakpoints is an increasing sequence; f maps an ndarray of points
@@ -85,4 +76,4 @@ def integrate(f, breakpoints, target=DEFAULT_TARGET, nodes=DEFAULT_NODES,
     def row_f(v):
         return np.asarray(f(v.ravel()), dtype=float).reshape(v.shape)
 
-    return float(integrate_rows(row_f, breaks, target, nodes, max_halvings)[0])
+    return float(integrate_rows(row_f, breaks, target, max_halvings)[0])

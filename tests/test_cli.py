@@ -93,6 +93,27 @@ def test_curve_bad_grid(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_oversized_grid_is_refused_before_allocation(tmp_path, monkeypatch, capsys):
+    sizes = []
+    monkeypatch.setattr(np, "linspace", lambda lo, hi, num: sizes.append(num))
+    for grid in ("0:1:1e-12", f"0:{cli.MAX_GRID_POINTS}:1", "-1e308:1e308:1"):
+        rc = cli.main(["curve", "--loss", "abs", "--kernel", "bump", "--m", "5",
+                       "--grid", grid, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2, grid
+        assert "points" in capsys.readouterr().err, grid
+    assert sizes == []
+    assert not (tmp_path / "x.csv").exists()
+    cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")
+    assert sizes == [cli.MAX_GRID_POINTS]
+
+
+def test_dash_grid_values_fold_into_the_flag():
+    argv = ["rate", "--grid", "-2:2:0.5", "--m", "5", "--grid", "--grid",
+            "-1:1:0.1", "-x:y"]
+    assert cli._absorb_dash_values(argv) == [
+        "rate", "--grid=-2:2:0.5", "--m", "5", "--grid", "--grid=-1:1:0.1", "-x:y"]
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["curve", "--bogus", "1"])
@@ -388,6 +409,17 @@ def test_diagnose_json(tmp_path):
     assert rates[0]["sup_error"] <= rates[0]["uniform_bound"] + 1e-9
     assert rates[1]["sup_error_ratio_to_previous"] == pytest.approx(2.0, abs=0.01)
     assert rates[1]["expected_derivative_gap"] < rates[0]["expected_derivative_gap"]
+
+
+def test_diagnose_zero_sup_error_has_no_ratio(tmp_path):
+    # relu is exactly zero where the bump's support stays left of its kink
+    out = tmp_path / "d.json"
+    rc = cli.main(["diagnose", "--loss", "relu", "--kernel", "bump",
+                   "--m", "5,10", "--grid", "-3:-1:0.5", "--out", str(out)])
+    assert rc == 0
+    rates = json.loads(out.read_text())["rates"]
+    assert [r["sup_error"] for r in rates] == [0.0, 0.0]
+    assert rates[1]["sup_error_ratio_to_previous"] is None
 
 
 # ---------------------------------------------------------------------------

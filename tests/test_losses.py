@@ -6,10 +6,10 @@ from scipy.stats import t as student_t
 from mollikit.distributions import ErrorDensity, standard_normal, student_t4
 from mollikit.errors import CurvatureUndefinedError
 from mollikit.kernels import bump_kernel
-from mollikit.losses import (absolute_loss, check_loss, expected_curvature,
-                             huber_loss, loss_curvature, loss_pieces,
-                             loss_subgradient, loss_value, parse_loss,
-                             relu_loss)
+from mollikit.losses import (CurvatureMeasure, absolute_loss, check_loss,
+                             expected_curvature, huber_loss, loss_curvature,
+                             loss_pieces, loss_subgradient, loss_value,
+                             parse_loss, relu_loss)
 from mollikit.mollify import PartialMomentSmoother
 
 ALL_LOSSES = [absolute_loss(), check_loss(0.3), check_loss(0.7),
@@ -128,13 +128,22 @@ def test_atom_masses_match_subgradient_jumps(loss):
             assert any(loc == k for loc, _ in measure.jumps)
 
 
-def test_curvature_measures():
-    assert loss_curvature(absolute_loss()).jumps == ((0.0, 2.0),)
-    assert loss_curvature(check_loss(0.42)).jumps == ((0.0, 1.0),)
-    assert loss_curvature(relu_loss()).jumps == ((0.0, 1.0),)
-    hub = loss_curvature(huber_loss(1.0))
-    assert hub.jumps == ()
-    assert hub.density == ((-1.0, 1.0, 1.0),)
+@pytest.mark.parametrize("loss,measure", [
+    pytest.param(loss, measure, id=loss.label) for loss, measure in [
+        (absolute_loss(), CurvatureMeasure(jumps=((0.0, 2.0),), density=())),
+        (relu_loss(), CurvatureMeasure(jumps=((0.0, 1.0),), density=())),
+        *[(check_loss(tau), CurvatureMeasure(jumps=((0.0, 1.0),), density=()))
+          for tau in (0.1, 0.3, 0.42, 0.7, 0.9)],
+        *[(huber_loss(c), CurvatureMeasure(jumps=(), density=((-c, c, 1.0),)))
+          for c in (0.5, 1.0, 1.345)],
+    ]])
+def test_curvature_measures(loss, measure):
+    assert loss_curvature(loss) == measure
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda lo: lo.label)
+def test_coercive(loss):
+    assert loss.coercive is (loss.label != "relu")
 
 
 def test_expected_curvature_check_normal():
@@ -170,7 +179,7 @@ def test_expected_curvature_t4():
 def test_expected_curvature_rejects_unevaluable_density():
     bad = ErrorDensity(name="bad",
                        pdf=lambda u: np.where(np.asarray(u) == 0.0, np.nan, 1.0),
-                       cdf=lambda u: u, quantile=lambda p: p,
+                       cdf=lambda u: u,
                        quad_breaks=(1.0,))
     with pytest.raises(CurvatureUndefinedError):
         expected_curvature(check_loss(0.5), bad)

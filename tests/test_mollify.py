@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mollikit.distributions import standard_normal
+from mollikit.distributions import ErrorDensity, standard_normal
 from mollikit.errors import InvalidScaleError
 from mollikit.kernels import bump_kernel, gaussian_kernel, kernel_abs_moment
 from mollikit.losses import (absolute_loss, check_loss, huber_loss, loss_subgradient,
@@ -369,6 +369,13 @@ def test_expected_derivative_gap_vanishes():
     density = standard_normal()
     gap = expected_derivative_gap(check_loss(0.5), BUMP, 1e4, density)
     assert gap < 1e-3
+
+
+def test_expected_derivative_gap_needs_density_breaks():
+    bare = ErrorDensity(name="bare", pdf=standard_normal().pdf,
+                        cdf=standard_normal().cdf)
+    with pytest.raises(ValueError, match="'bare'"):
+        expected_derivative_gap(check_loss(0.5), BUMP, 10.0, bare)
 
 
 def test_expected_second_derivative_bias_shrinks():
