@@ -35,9 +35,10 @@ def _as_same(template, arr):
 
 
 def normal_pdf(x):
-    """Standard normal density."""
+    """Standard normal density (0 where x*x overflows, |x| > ~1.3e154)."""
     x = np.asarray(x, dtype=float)
-    return _as_same(x, np.exp(-0.5 * x * x) / _SQRT2PI)
+    with np.errstate(over="ignore"):
+        return _as_same(x, np.exp(-0.5 * x * x) / _SQRT2PI)
 
 
 def normal_quantile(p) -> float | np.ndarray:

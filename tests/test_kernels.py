@@ -217,6 +217,19 @@ def test_cdf_limits_and_symmetry():
             assert np.isnan(out[0]) and np.all(np.isfinite(out[1:]))
 
 
+def test_gaussian_far_tails_are_quiet_limits():
+    # x*x overflows past ~1.3e154; the density and moments still give
+    # their limits, with no warning
+    far = np.array([1e200, -1e200, np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(kernel_value(GAUSS, far) == 0.0)
+        assert kernel_value(GAUSS, 1e200) == 0.0
+        assert np.all(kernel_partial_moment(GAUSS, far, 1) == 0.0)
+        assert np.array_equal(kernel_partial_moment(GAUSS, far, 2),
+                              [1.0, 0.0, 1.0, 0.0])
+
+
 def test_parse_kernel():
     assert parse_kernel("gaussian").kind == "gaussian"
     assert parse_kernel("bump").kind == "bump"

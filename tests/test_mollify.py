@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
+from mollikit import mollify
 from mollikit.distributions import ErrorDensity, standard_normal
 from mollikit.errors import InvalidScaleError
-from mollikit.kernels import bump_kernel, gaussian_kernel, kernel_abs_moment
+from mollikit.kernels import (bump_kernel, gaussian_kernel, kernel_abs_moment,
+                              kernel_value)
 from mollikit.losses import (absolute_loss, check_loss, huber_loss, loss_subgradient,
                              loss_value, relu_loss)
 from mollikit.mollify import (PartialMomentSmoother, expected_derivative_gap,
@@ -324,6 +329,63 @@ def test_piecewise_reduction_matches_quadrature(loss, kern):
         d, c = red.curvature_pair(grid)
         assert np.array_equal(d, red.derivative(grid))
         assert np.array_equal(c, red.second_derivative(grid))
+
+
+def test_bump_window_drops_no_mass():
+    # the quadrature window stops at +/-0.99: the density there is below
+    # 3.4e-22 and the mass beyond it below 1e-22
+    assert mollify._base_breaks(BUMP) == (-0.99, 0.99)
+    assert kernel_value(BUMP, 0.99) < 3.4e-22
+    mass, err = quad(lambda v: kernel_value(BUMP, v), 0.99, 1.0,
+                     epsabs=0.0, epsrel=1e-8)
+    assert 0.0 < mass < 1e-22 and err < 1e-8 * mass
+
+
+@pytest.mark.parametrize("m", [5.0, 80.0])
+@pytest.mark.parametrize("loss", CATALOG, ids=lambda lo: lo.label)
+def test_bump_quadrature_matches_smoother_on_rate_grid(loss, m):
+    # the 6001-point grid of `mollikit rate`
+    grid = np.linspace(-3.0, 3.0, 6001)
+    quad_s = smoothed_loss(loss, BUMP, m, method="quadrature")
+    exact = PartialMomentSmoother(loss, BUMP, m)
+    assert np.max(np.abs(smooth_value(quad_s, grid) - exact.value(grid))) < 1e-12
+
+
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=lambda k: k.kind)
+def test_quadrature_row_independent_of_chunk(kern, monkeypatch):
+    # a chunk halves until all its rows agree, so a row's value depends on
+    # its chunk neighbours only within the quadrature target
+    grid = np.linspace(-3.0, 3.0, 201)
+    fns = (smooth_value, smooth_derivative, smooth_second_derivative)
+    for loss in CATALOG:
+        for m in (5.0, 80.0):
+            s = smoothed_loss(loss, kern, m, method="quadrature")
+            chunked = [fn(s, grid) for fn in fns]
+            with monkeypatch.context() as mp:
+                mp.setattr(mollify, "_CHUNK_ROWS", 1)
+                alone = [fn(s, grid) for fn in fns]
+            for scale, a, b in zip((1.0, 1.0, m), chunked, alone):
+                assert np.max(np.abs(a - b)) <= scale * mollify._QUAD_TARGET
+
+
+def test_gaussian_smoother_far_arguments_are_quiet():
+    # far from the kinks the smoothed loss is the loss itself, and the
+    # Gaussian density underflows there without an overflow warning.
+    # Left out: Huber's value, whose u^2 terms overflow at 1e200, and at
+    # +/-inf the value and Huber's pair, whose sums meet inf - inf
+    big, inf = np.array([1e200, -1e200]), np.array([np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loss in CATALOG:
+            s = PartialMomentSmoother(loss, GAUSS, 5.0)
+            ends = (big,) if loss.kind == "huber" else (big, inf)
+            for u in ends:
+                grad, curv = s.curvature_pair(u)
+                assert np.array_equal(grad, loss_subgradient(loss, big))
+                assert np.all(curv == 0.0)
+            if loss.kind != "huber":
+                assert np.allclose(s.value(big), loss_value(loss, big),
+                                   rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
