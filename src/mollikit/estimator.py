@@ -9,6 +9,7 @@ fit with a Gaussian kernel at scale 1/h.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,9 +31,20 @@ class SolverOptions:
     ridge: float = 1e-10
 
 
+def _freeze(sample: LinearSample, name: str, value) -> None:
+    """Set a sample field to a read-only float copy of value."""
+    arr = np.array(value, dtype=float)
+    arr.setflags(write=False)
+    object.__setattr__(sample, name, arr)
+
+
 @dataclass(frozen=True)
 class LinearSample:
-    """Observations (x, y), optionally with the generating errors/truth."""
+    """Observations (x, y), optionally with the generating errors/truth.
+
+    The arrays are read-only copies of the caller's, so that the
+    least-squares start, computed once per sample, cannot go stale.
+    """
 
     x: np.ndarray                      # (n, d)
     y: np.ndarray                      # (n,)
@@ -43,14 +55,11 @@ class LinearSample:
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
         if x.shape[0] == 1 and np.asarray(self.y).size != 1:
             x = x.T
-        y = np.asarray(self.y, dtype=float).ravel()
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        if self.e is not None:
-            object.__setattr__(self, "e", np.asarray(self.e, dtype=float).ravel())
-        if self.theta0 is not None:
-            object.__setattr__(self, "theta0",
-                               np.asarray(self.theta0, dtype=float).ravel())
+        _freeze(self, "x", x)
+        for name in ("y", "e", "theta0"):
+            if getattr(self, name) is not None:
+                _freeze(self, name, np.ravel(getattr(self, name)))
+        y = self.y
         n, d = self.x.shape
         if y.size != n:
             raise ValueError(f"x has {n} rows but y has {y.size} entries")
@@ -77,6 +86,14 @@ class LinearSample:
         if self.e is None or self.theta0 is None:
             raise IncompleteSampleError("sample lacks true errors/parameters")
 
+    @cached_property
+    def _least_squares(self) -> tuple[np.ndarray, bool]:
+        """(least-squares coefficients, full rank?), once per sample: the
+        solve's singular values double as the design check."""
+        theta, _, _, sv = np.linalg.lstsq(self.x, self.y, rcond=None)
+        theta.setflags(write=False)
+        return theta, not (sv[-1] <= sv[0] * 1e-12 or sv[-1] == 0.0)
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -85,26 +102,36 @@ class FitResult:
     iterations: int
     converged: bool
     gradient_norm: float
+    backtracks: int            # trial steps the Armijo test rejected
+    fallbacks: int             # passes that fell back to steepest descent
+
+
+@lru_cache(maxsize=64)
+def _smoother(loss: LossSpec, kernel: MollifierKernel,
+              m: float) -> PartialMomentSmoother:
+    """One smoother per (loss, kernel, m) in the process; a smoother does
+    not change after construction."""
+    return PartialMomentSmoother(loss, kernel, m)
 
 
 def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
                  m: float, opts: SolverOptions = SolverOptions()) -> FitResult:
     """Minimize sum_t rho_m(y_t - x_t' theta) by damped Newton.
 
-    Starts from least squares; Hessian gets a tiny ridge because the
-    bump-kernel curvature vanishes on plateaus; Armijo backtracking
-    keeps every step a descent step.  Non-convergence is reported in
-    the result, not raised.
+    Starts from least squares (computed once per sample); Hessian gets
+    a tiny ridge because the bump-kernel curvature vanishes on plateaus;
+    Armijo backtracking keeps every step a descent step.
+    Non-convergence is reported in the result, not raised.
     """
     if not loss.coercive:
         raise NonCoerciveLossError(f"{loss.label} has no coercive objective")
     x, y = sample.x, sample.y
-    # the least-squares start's singular values double as the design check
-    theta, _, _, sv = np.linalg.lstsq(x, y, rcond=None)
-    if sv[-1] <= sv[0] * 1e-12 or sv[-1] == 0.0:
+    theta, full_rank = sample._least_squares
+    if not full_rank:
         raise SingularDesignError("design matrix is rank deficient")
-    smoother = PartialMomentSmoother(loss, kernel, m)
+    smoother = _smoother(loss, kernel, float(m))
     n, d = x.shape
+    ridge = opts.ridge * np.eye(d)
 
     resid = y - x @ theta
     obj = float(smoother.value(resid).sum())
@@ -113,23 +140,24 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
     # Armijo test carries a rounding allowance proportional to its size
     noise = 64.0 * np.finfo(float).eps * (1.0 + abs(obj))
     converged = False
-    it = 0
+    it = backtracks = fallbacks = 0
     while True:
         psi, weights = smoother.curvature_pair(resid)
         grad = -(x.T @ psi)
-        gnorm = float(np.max(np.abs(grad)))
+        gnorm = float(np.abs(grad).max())
         if gnorm < tol:
             converged = True
             break
         if it >= opts.max_iter:
             break
         it += 1
-        hess = x.T @ (x * weights[:, None]) + opts.ridge * np.eye(d)
+        hess = x.T @ (x * weights[:, None]) + ridge
         step = np.linalg.solve(hess, -grad)
         slope = float(grad @ step)
         if slope >= 0.0:           # numerical breakdown: fall back to steepest descent
             step = -grad
             slope = float(grad @ step)
+            fallbacks += 1
         t = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
@@ -141,10 +169,12 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
                 accepted = True
                 break
             t *= 0.5
+            backtracks += 1
         if not accepted:
             break                  # cannot make progress at double precision
     return FitResult(theta_hat=theta, objective=obj, iterations=it,
-                     converged=converged, gradient_norm=gnorm)
+                     converged=converged, gradient_norm=gnorm,
+                     backtracks=backtracks, fallbacks=fallbacks)
 
 
 def fit_exact_scalar_quantile(sample: LinearSample, tau: float) -> float:

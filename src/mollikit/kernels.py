@@ -23,9 +23,8 @@ from .distributions import _as_same, normal_pdf
 GAUSSIAN = "gaussian"
 BUMP = "bump"
 
-# Below this squared distance to the boundary the bump value underflows
-# double precision by hundreds of orders of magnitude.
-_BUMP_GUARD = 1e-12
+# From this |v| on, exp(-1/(1-v^2)) < exp(-5000) underflows to 0.
+_BUMP_EDGE = 0.9999
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,17 @@ def parse_kernel(text: str) -> MollifierKernel:
 
 
 def _bump_raw(v: np.ndarray) -> np.ndarray:
-    """exp(-1/(1-v^2)) inside the open support, 0 outside (unnormalized)."""
-    v = np.asarray(v, dtype=float)
-    # a gap under the guard, NaN included, is lifted to the guard, where
-    # the exp underflows to 0
-    return np.exp(-1.0 / np.fmax(1.0 - v * v, _BUMP_GUARD))
+    """exp(-1/(1-v^2)) inside the open support, 0 outside (unnormalized),
+    as an array of at least one dimension."""
+    # fmin sends |v| past the edge, NaN included, to the edge, where the
+    # exp gives 0 and v^2 cannot overflow; then every step works in place,
+    # so long quadrature node arrays cost one allocation
+    a = np.abs(np.atleast_1d(v))
+    np.fmin(a, _BUMP_EDGE, out=a)
+    a *= a
+    np.subtract(1.0, a, out=a)
+    np.divide(-1.0, a, out=a)
+    return np.exp(a, out=a)
 
 
 def bump_normalizer() -> float:
@@ -77,7 +82,8 @@ def kernel_value(kernel: MollifierKernel, v) -> float | np.ndarray:
     if kernel.kind == GAUSSIAN:
         out = normal_pdf(x)
     else:
-        out = bump_normalizer() * _bump_raw(x)
+        out = _bump_raw(x)
+        out *= bump_normalizer()
     return _as_same(v, out)
 
 
@@ -91,9 +97,9 @@ def kernel_derivative(kernel: MollifierKernel, v, order: int) -> float | np.ndar
         return _as_same(v, phi)
     if kernel.kind == GAUSSIAN:
         return _as_same(v, -x * phi if order == 1 else (x * x - 1.0) * phi)
-    gap = 1.0 - x * x
-    # where phi is 0, the log-derivative g may be inf or NaN
+    # where phi is 0, the gap may overflow and g may be inf or NaN
     with np.errstate(all="ignore"):
+        gap = 1.0 - x * x
         g = -2.0 * x / gap**2                        # (log phi)'
         if order == 2:                               # phi''/phi = g^2 + g'
             g = g * g - 2.0 * (1.0 + 3.0 * x * x) / gap**3
@@ -175,40 +181,54 @@ def _bump_pass():
     return tables, (1.0, float(mu1), float(mu2)), float(c)
 
 
-def _table_lookup(rows, x: np.ndarray) -> np.ndarray:
-    """Evaluate one bump table at x; 0 below -1, the total above 1, NaN
-    at NaN."""
+def _table_lookup(tables, x: np.ndarray) -> list[np.ndarray]:
+    """Evaluate bump tables at x from one row search; each is 0 below
+    -1, its total above 1 and NaN at NaN."""
     pos = np.minimum(np.maximum(x, -1.0), 1.0)    # NaN stays NaN
     pos += 1.0
     pos *= _TABLE_SCALE
     # fmax sends NaN to row 0, where the NaN offset still reaches the result
     idx = np.fmax(pos, 0.0).astype(np.intp)
     s = pos - idx
-    c0, c1, c2, c3 = rows
-    out = c3.take(idx)                               # Horner, in place
-    for c in (c2, c1, c0):
-        out *= s
-        out += c.take(idx)
-    return out
+    outs = []
+    for c0, c1, c2, c3 in tables:
+        out = c3.take(idx)                           # Horner, in place
+        for c in (c2, c1, c0):
+            out *= s
+            out += c.take(idx)
+        outs.append(out)
+    return outs
+
+
+def kernel_integrals(kernel: MollifierKernel, t, ks) -> list[np.ndarray]:
+    """Partial moments int_{-inf}^t v^k phi(v) dv for each k in ks, with
+    k = 0 the CDF: one table row search for all of them on the bump
+    kernel, shared Phi and phi on the Gaussian (accepts +/-inf)."""
+    x = np.asarray(t, dtype=float)
+    if kernel.kind == BUMP:
+        tables = _bump_pass()[0]
+        return _table_lookup([tables[k] for k in ks], x)
+    cdf = ndtr(x) if 0 in ks or 2 in ks else None
+    phi = normal_pdf(x) if 1 in ks or 2 in ks else None
+    outs = []
+    for k in ks:                              # P1 = -phi; P2 = Phi - t*phi
+        if k == 0:
+            outs.append(cdf)
+        elif k == 1:
+            outs.append(-phi)
+        else:
+            with np.errstate(invalid="ignore"):   # t*phi is inf*0 at +/-inf
+                outs.append(cdf - np.where(np.isinf(x), 0.0, x * phi))
+    return outs
 
 
 def kernel_cdf(kernel: MollifierKernel, t) -> float | np.ndarray:
     """Cumulative mass int_{-inf}^t phi(v) dv (accepts +/-inf)."""
-    x = np.asarray(t, dtype=float)
-    if kernel.kind == GAUSSIAN:
-        return _as_same(t, ndtr(x))
-    return _as_same(t, _table_lookup(_bump_pass()[0][0], x))
+    return _as_same(t, kernel_integrals(kernel, t, (0,))[0])
 
 
 def kernel_partial_moment(kernel: MollifierKernel, t, k: int) -> float | np.ndarray:
     """Partial moment int_{-inf}^t v^k phi(v) dv for k in {1, 2}."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    x = np.asarray(t, dtype=float)
-    if kernel.kind == GAUSSIAN:
-        phi = normal_pdf(x)                   # P1 = -phi; P2 = Phi - t*phi
-        if k == 1:
-            return _as_same(t, -phi)
-        with np.errstate(invalid="ignore"):   # t*phi is inf*0 at +/-inf
-            return _as_same(t, ndtr(x) - np.where(np.isinf(x), 0.0, x * phi))
-    return _as_same(t, _table_lookup(_bump_pass()[0][k], x))
+    return _as_same(t, kernel_integrals(kernel, t, (k,))[0])

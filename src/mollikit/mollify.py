@@ -26,7 +26,7 @@ import numpy as np
 from .distributions import _as_same
 from .errors import InvalidScaleError
 from .kernels import (MollifierKernel, kernel_cdf, kernel_derivative,
-                      kernel_partial_moment, kernel_value)
+                      kernel_integrals, kernel_partial_moment, kernel_value)
 from .losses import LossSpec, loss_pieces, loss_subgradient, loss_value
 from .quadrature import integrate_rows
 
@@ -200,17 +200,30 @@ class PartialMomentSmoother:
 
     def value(self, u) -> float | np.ndarray:
         arr = np.atleast_1d(np.asarray(u, dtype=float))
+        infinite = np.isinf(arr)
+        if np.count_nonzero(infinite):
+            # the sums meet inf - inf there; far from every kink the
+            # smoothed loss is the loss itself
+            finite = self._value(np.where(infinite, 0.0, arr))
+            return _as_same(u, np.where(infinite, loss_value(self.loss, arr),
+                                        finite))
+        return _as_same(u, self._value(arr))
+
+    def _value(self, arr: np.ndarray) -> np.ndarray:
         m = self.m
         t = m * (self._kinks - arr)
-        cdf = kernel_cdf(self.kernel, t)
-        pm1 = kernel_partial_moment(self.kernel, t, 1) / m
+        if self._has_quad:
+            cdf, pm1, pm2 = kernel_integrals(self.kernel, t, (0, 1, 2))
+        else:
+            cdf, pm1 = kernel_integrals(self.kernel, t, (0, 1))
+        pm1 = pm1 / m
         ucdf = arr * cdf
         acc = (self._alpha + self._slope * arr
                - self._d_alpha @ cdf - self._d_slope @ (ucdf + pm1))
         if self._has_quad:
-            pm2 = kernel_partial_moment(self.kernel, t, 2) / (m * m)
+            pm2 = pm2 / (m * m)
             acc -= 0.5 * (self._d_quad @ (arr * (ucdf + 2.0 * pm1) + pm2))
-        return _as_same(u, acc)
+        return acc
 
     def derivative(self, u) -> float | np.ndarray:
         return _as_same(u, self.curvature_pair(u)[0])
@@ -227,7 +240,13 @@ class PartialMomentSmoother:
         curv = self._d_psi @ kernel_value(self.kernel, t)
         if self._has_quad:
             pm1 = kernel_partial_moment(self.kernel, t, 1) / self.m
-            grad -= self._d_quad @ (arr * cdf + pm1)
+            infinite = np.isinf(arr)
+            if np.count_nonzero(infinite):
+                # u*C meets inf*0 there; the limit is the loss's slope
+                grad -= self._d_quad @ (np.where(infinite, 0.0, arr) * cdf + pm1)
+                grad = np.where(infinite, loss_subgradient(self.loss, arr), grad)
+            else:
+                grad -= self._d_quad @ (arr * cdf + pm1)
             curv -= self._d_quad @ cdf
         return grad, curv
 

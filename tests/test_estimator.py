@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mollikit import estimator
 from mollikit.errors import (DegenerateRegressorError, InvalidBandwidthError,
-                             NonCoerciveLossError, SingularDesignError,
-                             UnsupportedDimensionError)
+                             InvalidScaleError, NonCoerciveLossError,
+                             SingularDesignError, UnsupportedDimensionError)
 from mollikit.estimator import (FitResult, LinearSample, SolverOptions,
                                 fit_convolution_baseline,
                                 fit_exact_scalar_quantile, fit_smoothed)
 from mollikit.kernels import bump_kernel, gaussian_kernel
 from mollikit.losses import absolute_loss, check_loss, huber_loss, relu_loss
+from mollikit.mollify import PartialMomentSmoother
 
 BUMP = bump_kernel()
 GAUSS = gaussian_kernel()
@@ -20,6 +22,14 @@ def _sim(seed, n, errors="normal"):
     x = rng.normal(1, 1, n)
     e = rng.standard_normal(n) if errors == "normal" else rng.standard_t(4, n)
     return LinearSample(x=x, y=x * 1.0 + e, e=e, theta0=np.array([1.0]))
+
+
+def _same_fit(a: FitResult, b: FitResult) -> bool:
+    return (a.theta_hat.tobytes() == b.theta_hat.tobytes()
+            and (a.objective, a.iterations, a.converged, a.gradient_norm,
+                 a.backtracks, a.fallbacks)
+            == (b.objective, b.iterations, b.converged, b.gradient_norm,
+                b.backtracks, b.fallbacks))
 
 
 def _brute_force_quantile(x, y, tau):
@@ -44,6 +54,29 @@ def test_sample_shapes_and_validation():
     with pytest.raises(ValueError):
         LinearSample(x=np.ones(3), y=np.ones(3), e=np.zeros(3),
                      theta0=np.array([5.0]))             # y != x theta0 + e
+
+
+def test_sample_arrays_are_read_only_copies():
+    # the least-squares start is cached on the sample, so its arrays must
+    # not change under it: neither through the caller's arrays nor its own
+    rng = np.random.default_rng(16)
+    x = rng.normal(1, 1, (40, 2))
+    e = rng.standard_normal(40)
+    theta0 = np.array([1.0, -0.5])
+    y = x @ theta0 + e
+    s = LinearSample(x=x, y=y, e=e, theta0=theta0)
+    fresh = fit_smoothed(s, check_loss(0.3), BUMP, 10.0)
+    given = (x, y, e, theta0)
+    saved = [arr.copy() for arr in given]
+    for arr in given:
+        arr *= 3.0
+    for got, want in zip((s.x, s.y, s.e, s.theta0), saved):
+        assert np.array_equal(got, want)
+    for arr in (s.x, s.y, s.e, s.theta0):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert _same_fit(fit_smoothed(s, check_loss(0.3), BUMP, 10.0), fresh)
 
 
 def test_sample_truth_consistency_accepted():
@@ -162,6 +195,73 @@ def test_fit_smoothed_rejects_singular_design():
     s = LinearSample(x=x, y=np.arange(10.0))
     with pytest.raises(SingularDesignError):
         fit_smoothed(s, check_loss(0.5), BUMP, 5.0)
+
+
+def test_singular_design_raises_on_every_call_in_order():
+    # the cached least-squares start keeps the design check: each call
+    # raises, and the checks run non-coercive loss, design, scale
+    singular = LinearSample(x=np.ones((10, 2)), y=np.arange(10.0))
+    for loss, kern in [(check_loss(0.5), BUMP), (check_loss(0.5), BUMP),
+                       (huber_loss(1.0), GAUSS), (absolute_loss(), BUMP)]:
+        with pytest.raises(SingularDesignError):
+            fit_smoothed(singular, loss, kern, 5.0)
+    with pytest.raises(NonCoerciveLossError):
+        fit_smoothed(singular, relu_loss(), BUMP, -1.0)
+    for m in (-1.0, np.nan):
+        with pytest.raises(SingularDesignError):
+            fit_smoothed(singular, check_loss(0.5), BUMP, m)
+        with pytest.raises(InvalidScaleError):
+            fit_smoothed(_sim(6, 30), check_loss(0.5), BUMP, m)
+
+
+def test_fit_is_repeatable_across_calls_copies_and_smoothers(monkeypatch):
+    s = _sim(7, 100, errors="t4")
+    copy = LinearSample(x=s.x.copy(), y=s.y.copy(), e=s.e.copy(),
+                        theta0=s.theta0.copy())
+    cases = [(check_loss(0.3), BUMP, 15.0), (check_loss(0.3), GAUSS, 2.0),
+             (huber_loss(1.0), BUMP, 10.0)]
+    cached = [fit_smoothed(s, *case) for case in cases]
+    for case, first in zip(cases, cached):
+        assert estimator._smoother(*case) is estimator._smoother(*case)
+        assert _same_fit(fit_smoothed(s, *case), first)
+        assert _same_fit(fit_smoothed(copy, *case), first)
+    # a freshly built smoother per fit gives the same fits
+    monkeypatch.setattr(estimator, "_smoother", PartialMomentSmoother)
+    for case, first in zip(cases, cached):
+        assert _same_fit(fit_smoothed(_sim(7, 100, errors="t4"), *case), first)
+
+
+def test_backtracks_count_rejected_trials(monkeypatch):
+    # every objective evaluation after the first is an accepted step or a
+    # rejected trial, and each accepted step leads to one more pass
+    counts = {"value": 0, "pair": 0}
+    value, pair = PartialMomentSmoother.value, PartialMomentSmoother.curvature_pair
+
+    def counted_value(self, u):
+        counts["value"] += 1
+        return value(self, u)
+
+    def counted_pair(self, u):
+        counts["pair"] += 1
+        return pair(self, u)
+
+    monkeypatch.setattr(PartialMomentSmoother, "value", counted_value)
+    monkeypatch.setattr(PartialMomentSmoother, "curvature_pair", counted_pair)
+    s = _sim(8, 100, errors="t4")
+    res = fit_smoothed(s, check_loss(0.3), BUMP, 15.0)
+    assert res.converged and res.backtracks > 0 and res.fallbacks == 0
+    accepted = counts["pair"] - 1
+    assert res.backtracks == counts["value"] - 1 - accepted
+
+
+def test_fallbacks_count_steepest_descent_passes(monkeypatch):
+    # a solve that returns an ascent direction forces every pass that
+    # takes a step onto steepest descent
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: -b)
+    res = fit_smoothed(_sim(9, 60), check_loss(0.5), GAUSS, 2.0,
+                       SolverOptions(max_iter=5))
+    assert res.iterations == 5
+    assert res.fallbacks == res.iterations
 
 
 def test_fit_smoothed_non_convergence_is_reported_not_raised():

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 
 from mollikit.kernels import (bump_kernel, bump_normalizer, gaussian_kernel,
                               kernel_abs_moment, kernel_cdf, kernel_derivative,
-                              kernel_partial_moment, kernel_value, parse_kernel)
+                              kernel_integrals, kernel_partial_moment,
+                              kernel_value, parse_kernel)
 from mollikit.quadrature import integrate
 
 BUMP = bump_kernel()
@@ -228,6 +229,51 @@ def test_gaussian_far_tails_are_quiet_limits():
         assert np.all(kernel_partial_moment(GAUSS, far, 1) == 0.0)
         assert np.array_equal(kernel_partial_moment(GAUSS, far, 2),
                               [1.0, 0.0, 1.0, 0.0])
+
+
+def test_bump_far_tails_are_quiet_limits():
+    # v*v overflows past ~1.3e154; the bump and its derivatives are still
+    # 0 there, with no warning, and NaN still gives 0
+    far = np.array([1e200, -1e200, np.inf, -np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(kernel_value(BUMP, far) == 0.0)
+        assert kernel_value(BUMP, 1e200) == 0.0
+        for order in (0, 1, 2):
+            assert np.all(kernel_derivative(BUMP, far, order) == 0.0)
+            assert all(kernel_derivative(BUMP, v, order) == 0.0 for v in far)
+        assert np.array_equal(kernel_cdf(BUMP, far[:4]), [1.0, 0.0, 1.0, 0.0])
+
+
+def _same(a, b) -> bool:
+    """Equal by ==, NaN where NaN, and the sign of every zero alike."""
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
+def test_shared_lookup_matches_one_table_lookups(kern):
+    # one row search (bump) or one Phi and phi (Gaussian) for several
+    # integrals gives each integral exactly as its own lookup does
+    nodes = np.linspace(-1.0, 1.0, 8193)
+    t = np.concatenate([
+        nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+        [1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200],
+        np.random.default_rng(17).uniform(-1.2, 1.2, 100_000)])
+    single = [kernel_cdf(kern, t)] + [kernel_partial_moment(kern, t, k)
+                                      for k in (1, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ks in [(0, 1, 2), (0, 1), (0, 2), (1, 2), (2, 1, 0)]:
+            for k, got in zip(ks, kernel_integrals(kern, t, ks)):
+                assert _same(got, single[k])
+        for k in (0, 1, 2):
+            (alone,) = kernel_integrals(kern, t, (k,))
+            assert _same(alone, single[k])
+        # a 2-D argument, as the smoother passes one row per kink
+        rows = t[:2000].reshape(2, -1)
+        for k, got in enumerate(kernel_integrals(kern, rows, (0, 1, 2))):
+            assert _same(got.ravel(), single[k][:2000])
 
 
 def test_parse_kernel():

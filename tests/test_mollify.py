@@ -368,24 +368,36 @@ def test_quadrature_row_independent_of_chunk(kern, monkeypatch):
                 assert np.max(np.abs(a - b)) <= scale * mollify._QUAD_TARGET
 
 
-def test_gaussian_smoother_far_arguments_are_quiet():
+@pytest.mark.parametrize("kern", [GAUSS, BUMP], ids=["gaussian", "bump"])
+def test_smoother_far_arguments_are_quiet(kern):
     # far from the kinks the smoothed loss is the loss itself, and the
-    # Gaussian density underflows there without an overflow warning.
-    # Left out: Huber's value, whose u^2 terms overflow at 1e200, and at
-    # +/-inf the value and Huber's pair, whose sums meet inf - inf
+    # kernel underflows there without an overflow warning; at +/-inf the
+    # value and Huber's slope are their limits, with no invalid value.
+    # Left out: Huber's value at -1e200, whose u^2 terms overflow
     big, inf = np.array([1e200, -1e200]), np.array([np.inf, -np.inf])
+    mixed = np.array([-np.inf, 0.3, np.inf, np.nan, -2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for loss in CATALOG:
-            s = PartialMomentSmoother(loss, GAUSS, 5.0)
-            ends = (big,) if loss.kind == "huber" else (big, inf)
-            for u in ends:
+            s = PartialMomentSmoother(loss, kern, 5.0)
+            for u in (big, inf):
                 grad, curv = s.curvature_pair(u)
                 assert np.array_equal(grad, loss_subgradient(loss, big))
                 assert np.all(curv == 0.0)
             if loss.kind != "huber":
                 assert np.allclose(s.value(big), loss_value(loss, big),
                                    rtol=1e-15, atol=0.0)
+            assert np.array_equal(s.value(inf), loss_value(loss, inf))
+            assert s.value(np.inf) == loss_value(loss, np.inf)
+            assert s.derivative(-np.inf) == loss_subgradient(loss, -np.inf)
+            # finite entries beside infinite ones are evaluated as alone,
+            # and NaN stays NaN
+            for fn, limit in [(s.value, loss_value),
+                              (s.derivative, loss_subgradient)]:
+                got = fn(mixed)
+                assert np.array_equal(got[[1, 4]], fn(mixed[[1, 4]]))
+                assert np.array_equal(got[[0, 2]], limit(loss, mixed[[0, 2]]))
+                assert np.isnan(got[3])
 
 
 # ---------------------------------------------------------------------------
