@@ -1,9 +1,8 @@
 """mollikit: mollifier smoothing of nonsmooth losses and its estimation toolkit."""
 
 from .distributions import ErrorDensity, standard_normal, student_t4
-from .estimator import (FitResult, LinearSample, SolverOptions,
-                        fit_convolution_baseline, fit_exact_scalar_quantile,
-                        fit_smoothed)
+from .estimator import (FitResult, LinearSample, fit_convolution_baseline,
+                        fit_exact_scalar_quantile, fit_smoothed)
 from .kernels import (MollifierKernel, bump_kernel, bump_normalizer,
                       gaussian_kernel, kernel_abs_moment, kernel_derivative,
                       kernel_value, parse_kernel)
@@ -21,7 +20,7 @@ from .quadratic import (QuadraticApprox, approximation_gap, beta_Q,
 
 __all__ = [
     "ErrorDensity", "standard_normal", "student_t4",
-    "FitResult", "LinearSample", "SolverOptions",
+    "FitResult", "LinearSample",
     "fit_convolution_baseline", "fit_exact_scalar_quantile", "fit_smoothed",
     "MollifierKernel", "bump_kernel", "bump_normalizer", "gaussian_kernel",
     "kernel_abs_moment", "kernel_derivative", "kernel_value", "parse_kernel",

@@ -9,7 +9,7 @@ fit with a Gaussian kernel at scale 1/h.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -18,17 +18,13 @@ from .errors import (DegenerateRegressorError, IncompleteSampleError,
                      SingularDesignError, UnsupportedDimensionError)
 from .kernels import MollifierKernel, gaussian_kernel
 from .losses import LossSpec, check_loss
-from .mollify import PartialMomentSmoother
+from .mollify import smoothed_loss
 
+_MAX_ITER = 200
+_GRAD_TOL = 1e-9           # per observation, on the gradient's max norm
+_RIDGE = 1e-10
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iter: int = 200
-    grad_tol: float = 1e-9
-    ridge: float = 1e-10
 
 
 def _freeze(sample: LinearSample, name: str, value) -> None:
@@ -38,12 +34,13 @@ def _freeze(sample: LinearSample, name: str, value) -> None:
     object.__setattr__(sample, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSample:
     """Observations (x, y), optionally with the generating errors/truth.
 
     The arrays are read-only copies of the caller's, so that the
     least-squares start, computed once per sample, cannot go stale.
+    Samples compare and hash by identity.
     """
 
     x: np.ndarray                      # (n, d)
@@ -106,22 +103,16 @@ class FitResult:
     fallbacks: int             # passes that fell back to steepest descent
 
 
-@lru_cache(maxsize=64)
-def _smoother(loss: LossSpec, kernel: MollifierKernel,
-              m: float) -> PartialMomentSmoother:
-    """One smoother per (loss, kernel, m) in the process; a smoother does
-    not change after construction."""
-    return PartialMomentSmoother(loss, kernel, m)
-
-
 def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
-                 m: float, opts: SolverOptions = SolverOptions()) -> FitResult:
+                 m: float) -> FitResult:
     """Minimize sum_t rho_m(y_t - x_t' theta) by damped Newton.
 
     Starts from least squares (computed once per sample); Hessian gets
-    a tiny ridge because the bump-kernel curvature vanishes on plateaus;
-    Armijo backtracking keeps every step a descent step.
-    Non-convergence is reported in the result, not raised.
+    a tiny ridge, _RIDGE, because the bump-kernel curvature vanishes on
+    plateaus; Armijo backtracking keeps every step a descent step.
+    Converged means the gradient's max norm fell below _GRAD_TOL * n
+    within _MAX_ITER Newton steps.  Non-convergence is reported in the
+    result, not raised.
     """
     if not loss.coercive:
         raise NonCoerciveLossError(f"{loss.label} has no coercive objective")
@@ -129,13 +120,13 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
     theta, full_rank = sample._least_squares
     if not full_rank:
         raise SingularDesignError("design matrix is rank deficient")
-    smoother = _smoother(loss, kernel, float(m))
+    smoother = smoothed_loss(loss, kernel, float(m))
     n, d = x.shape
-    ridge = opts.ridge * np.eye(d)
+    ridge = _RIDGE * np.eye(d)
 
     resid = y - x @ theta
     obj = float(smoother.value(resid).sum())
-    tol = opts.grad_tol * n
+    tol = _GRAD_TOL * n
     # near the optimum the objective is flat at double precision, so the
     # Armijo test carries a rounding allowance proportional to its size
     noise = 64.0 * np.finfo(float).eps * (1.0 + abs(obj))
@@ -148,7 +139,7 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
         if gnorm < tol:
             converged = True
             break
-        if it >= opts.max_iter:
+        if it >= _MAX_ITER:
             break
         it += 1
         hess = x.T @ (x * weights[:, None]) + ridge
@@ -212,9 +203,9 @@ def fit_exact_scalar_quantile(sample: LinearSample, tau: float) -> float:
     return float(b[-1])
 
 
-def fit_convolution_baseline(sample: LinearSample, tau: float, h: float,
-                             opts: SolverOptions = SolverOptions()) -> FitResult:
+def fit_convolution_baseline(sample: LinearSample, tau: float,
+                             h: float) -> FitResult:
     """Gaussian-kernel smoothed quantile fit at bandwidth h (scale 1/h)."""
     if not 0.0 < h < 1.0:
         raise InvalidBandwidthError(f"bandwidth must lie in (0, 1), got {h}")
-    return fit_smoothed(sample, check_loss(tau), gaussian_kernel(), 1.0 / h, opts)
+    return fit_smoothed(sample, check_loss(tau), gaussian_kernel(), 1.0 / h)

@@ -87,22 +87,15 @@ def kernel_value(kernel: MollifierKernel, v) -> float | np.ndarray:
     return _as_same(v, out)
 
 
-def kernel_derivative(kernel: MollifierKernel, v, order: int) -> float | np.ndarray:
-    """phi^(order)(v) for order in {0, 1, 2}."""
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
+def kernel_derivative(kernel: MollifierKernel, v) -> float | np.ndarray:
+    """First derivative phi'(v); zero outside the bump support."""
     x = np.asarray(v, dtype=float)
     phi = kernel_value(kernel, x)
-    if order == 0:
-        return _as_same(v, phi)
     if kernel.kind == GAUSSIAN:
-        return _as_same(v, -x * phi if order == 1 else (x * x - 1.0) * phi)
+        return _as_same(v, -x * phi)
     # where phi is 0, the gap may overflow and g may be inf or NaN
     with np.errstate(all="ignore"):
-        gap = 1.0 - x * x
-        g = -2.0 * x / gap**2                        # (log phi)'
-        if order == 2:                               # phi''/phi = g^2 + g'
-            g = g * g - 2.0 * (1.0 + 3.0 * x * x) / gap**3
+        g = -2.0 * x / (1.0 - x * x)**2              # (log phi)'
         return _as_same(v, np.where(phi > 0.0, phi * g, 0.0))
 
 

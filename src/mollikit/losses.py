@@ -115,7 +115,10 @@ def loss_value(loss: LossSpec, u) -> float | np.ndarray:
         out = np.maximum(x, 0.0)
     else:
         c = loss.c
-        out = np.where(np.abs(x) <= c, 0.5 * x * x, c * np.abs(x) - 0.5 * c * c)
+        # squaring the clipped x gives the same value where it is kept,
+        # and cannot overflow where it is not
+        xc = np.clip(x, -c, c)
+        out = np.where(np.abs(x) <= c, 0.5 * xc * xc, c * np.abs(x) - 0.5 * c * c)
     return _as_same(u, out)
 
 

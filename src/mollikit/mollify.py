@@ -12,14 +12,18 @@ boundary terms vanish because every kernel derivative does).
 `PartialMomentSmoother` is the smoothed loss: it evaluates these
 integrals exactly, by summing them by parts over the loss pieces, so
 that one kernel CDF/partial-moment/density lookup per kink remains
-(no terms against the kernel totals: see the class).  Kink-split panel
-quadrature is the independent reference (method "quadrature");
-`expected_derivative_gap` uses it only for its outer expectation.
-Method "closed_form" names the exact route on the Gaussian kernel,
-whose CDF and partial moments are closed forms; "auto" picks it there
-and quadrature for the bump kernel.
+(no terms against the kernel totals: see the class).  `smoothed_loss`
+returns one such object per (loss, kernel, scale) in the process.
+Kink-split panel quadrature (`_value_quadrature` and its siblings) is
+the independent reference the tests compare the object against.
+`smooth_value` and its siblings choose their route from the kernel:
+the object's own methods on the Gaussian kernel, quadrature on the
+bump kernel.  `expected_derivative_gap` integrates the object's exact
+derivative, with quadrature only for its outer expectation.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,19 +34,20 @@ from .kernels import (MollifierKernel, kernel_cdf, kernel_derivative,
 from .losses import LossSpec, loss_pieces, loss_subgradient, loss_value
 from .quadrature import integrate_rows
 
-CLOSED_FORM = "closed_form"
-QUADRATURE = "quadrature"
-
 _QUAD_TARGET = 1e-11
 _GAP_TARGET = 1e-10
+# |u| past which PartialMomentSmoother.value returns the loss itself
+_FAR = 1e150
 # rows per quadrature pass: its node arrays stay cache-sized, no page faults
 _CHUNK_ROWS = 64
 
 
-def smoothed_loss(loss: LossSpec, kernel: MollifierKernel, m: float,
-                  method: str = "auto") -> PartialMomentSmoother:
-    """The smoothed loss at scale m, with its evaluation method resolved."""
-    return PartialMomentSmoother(loss, kernel, m, method)
+@lru_cache(maxsize=64)
+def smoothed_loss(loss: LossSpec, kernel: MollifierKernel,
+                  m: float) -> PartialMomentSmoother:
+    """The smoothed loss at scale m: one object per (loss, kernel, m) in
+    the process, since a smoother does not change after construction."""
+    return PartialMomentSmoother(loss, kernel, m)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +106,7 @@ def _derivative_quadrature(s: PartialMomentSmoother, u: np.ndarray) -> np.ndarra
 
 def _second_quadrature(s: PartialMomentSmoother, u: np.ndarray) -> np.ndarray:
     return -s.m * _quad_rows(s, u, lambda arg, v: loss_subgradient(s.loss, arg)
-                             * kernel_derivative(s.kernel, v, 1))
+                             * kernel_derivative(s.kernel, v))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +114,7 @@ def _second_quadrature(s: PartialMomentSmoother, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _dispatch(s: PartialMomentSmoother, u, exact, quad):
-    if s.method == CLOSED_FORM:
+    if s.kernel.kind == "gaussian":
         return exact(u)
     return _as_same(u, quad(s, np.atleast_1d(np.asarray(u, dtype=float))))
 
@@ -143,9 +148,8 @@ def sup_error(s: PartialMomentSmoother, grid) -> float:
 # ---------------------------------------------------------------------------
 
 class PartialMomentSmoother:
-    """The smoothed loss: a (loss, kernel, scale) triple with a resolved
-    evaluation method, whose own methods evaluate the smoothing
-    integrals exactly, by summation by parts.
+    """The smoothed loss: a (loss, kernel, scale) triple whose own methods
+    evaluate the smoothing integrals exactly, by summation by parts.
 
     Catalog losses are piecewise quadratic, so each integral collapses
     onto kernel CDF C, partial moments P1, P2 and density phi evaluated
@@ -168,25 +172,12 @@ class PartialMomentSmoother:
     tests pin the two together) but costs one kernel lookup per kink
     and point, which is what makes Newton iterations over full residual
     vectors cheap.
-
-    `method` ("auto", "closed_form" or "quadrature", as in the module
-    docstring) says how `smooth_value` and its siblings evaluate it.
     """
 
-    def __init__(self, loss: LossSpec, kernel: MollifierKernel, m: float,
-                 method: str = "auto"):
+    def __init__(self, loss: LossSpec, kernel: MollifierKernel, m: float):
         if not 0 < m < np.inf:
             raise InvalidScaleError(
                 f"smoothing scale must be positive and finite, got {m}")
-        gaussian = kernel.kind == "gaussian"
-        if method == "auto":
-            method = CLOSED_FORM if gaussian else QUADRATURE
-        elif method == CLOSED_FORM and not gaussian:
-            raise ValueError(
-                f"no closed form for {loss.label} with {kernel.kind} kernel")
-        elif method not in (CLOSED_FORM, QUADRATURE):
-            raise ValueError(f"unknown method {method!r}")
-        self.method = method
         self.loss = loss
         self.kernel = kernel
         self.m = float(m)
@@ -200,13 +191,13 @@ class PartialMomentSmoother:
 
     def value(self, u) -> float | np.ndarray:
         arr = np.atleast_1d(np.asarray(u, dtype=float))
-        infinite = np.isinf(arr)
-        if np.count_nonzero(infinite):
-            # the sums meet inf - inf there; far from every kink the
+        far = np.abs(arr) > _FAR
+        if np.count_nonzero(far):
+            # the sums meet inf - inf at +/-inf, and a quadratic piece's
+            # u^2 terms overflow past ~1.3e154; far from every kink the
             # smoothed loss is the loss itself
-            finite = self._value(np.where(infinite, 0.0, arr))
-            return _as_same(u, np.where(infinite, loss_value(self.loss, arr),
-                                        finite))
+            near = self._value(np.where(far, 0.0, arr))
+            return _as_same(u, np.where(far, loss_value(self.loss, arr), near))
         return _as_same(u, self._value(arr))
 
     def _value(self, arr: np.ndarray) -> np.ndarray:

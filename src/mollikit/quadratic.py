@@ -24,10 +24,10 @@ import numpy as np
 from .distributions import normal_quantile
 from .errors import (IncompleteSampleError, InvalidCurvatureError,
                      SingularGramError)
-from .estimator import LinearSample, SolverOptions, fit_smoothed
+from .estimator import LinearSample, fit_smoothed
 from .kernels import MollifierKernel
 from .losses import LossSpec, loss_subgradient, loss_value
-from .mollify import PartialMomentSmoother
+from .mollify import smoothed_loss
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def build_quadratic(sample: LinearSample, loss: LossSpec,
 def curvature_plugin(loss: LossSpec, kernel: MollifierKernel, m: float,
                      e: np.ndarray) -> float:
     """Plug-in curvature constant: mean of the smoothed second derivative."""
-    smoother = PartialMomentSmoother(loss, kernel, m)
+    smoother = smoothed_loss(loss, kernel, m)
     return float(np.mean(smoother.second_derivative(np.asarray(e, dtype=float))))
 
 
@@ -136,11 +136,10 @@ def beta_gap(sample: LinearSample, theta_hat: np.ndarray,
 
 
 def minimizer_gap(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
-                  m: float, a: float,
-                  opts: SolverOptions = SolverOptions()) -> float:
+                  m: float, a: float) -> float:
     """beta_gap's distance for the smoothed fit at scale m."""
     sample.require_truth()
-    fit = fit_smoothed(sample, loss, kernel, m, opts)
+    fit = fit_smoothed(sample, loss, kernel, m)
     return beta_gap(sample, fit.theta_hat, beta_Q(build_quadratic(sample, loss, a)))[1]
 
 

@@ -14,9 +14,9 @@ from mollikit.estimator import fit_exact_scalar_quantile
 from mollikit.kernels import bump_kernel, gaussian_kernel, kernel_abs_moment
 from mollikit.losses import (absolute_loss, check_loss, huber_loss, loss_value,
                              relu_loss)
-from mollikit.mollify import (expected_derivative_gap, smooth_derivative,
-                              smooth_second_derivative, smooth_value,
-                              smoothed_loss, sup_error)
+from mollikit.mollify import (_value_quadrature, expected_derivative_gap,
+                              smooth_derivative, smooth_second_derivative,
+                              smooth_value, smoothed_loss, sup_error)
 from mollikit.montecarlo import (ExperimentConfig, generate_sample,
                                  run_mad_experiment, run_rmse_experiment)
 from mollikit.quadratic import (approximation_gap, beta_Q, build_quadratic,
@@ -135,10 +135,9 @@ def test_criterion_05_closed_form_equivalence():
     worst = 0.0
     for loss in (absolute_loss(), check_loss(0.3), relu_loss()):
         for m in (1, 5, 10, 15):
-            closed = smoothed_loss(loss, GAUSS, m, method="closed_form")
-            quad = smoothed_loss(loss, GAUSS, m, method="quadrature")
+            s = smoothed_loss(loss, GAUSS, m)
             worst = max(worst, np.max(np.abs(
-                smooth_value(closed, grid) - smooth_value(quad, grid))))
+                smooth_value(s, grid) - _value_quadrature(s, grid))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 5.0
     report(5, "closed-form-equivalence", ok,

@@ -6,12 +6,12 @@ from mollikit import estimator
 from mollikit.errors import (DegenerateRegressorError, InvalidBandwidthError,
                              InvalidScaleError, NonCoerciveLossError,
                              SingularDesignError, UnsupportedDimensionError)
-from mollikit.estimator import (FitResult, LinearSample, SolverOptions,
+from mollikit.estimator import (FitResult, LinearSample,
                                 fit_convolution_baseline,
                                 fit_exact_scalar_quantile, fit_smoothed)
 from mollikit.kernels import bump_kernel, gaussian_kernel
 from mollikit.losses import absolute_loss, check_loss, huber_loss, relu_loss
-from mollikit.mollify import PartialMomentSmoother
+from mollikit.mollify import PartialMomentSmoother, smoothed_loss
 
 BUMP = bump_kernel()
 GAUSS = gaussian_kernel()
@@ -85,6 +85,15 @@ def test_sample_truth_consistency_accepted():
     e = rng.standard_normal(20)
     s = LinearSample(x=x, y=x * 2.0 + e, e=e, theta0=np.array([2.0]))
     assert np.allclose(s.y - s.x @ s.theta0, s.e, rtol=0, atol=1e-12)
+
+
+def test_samples_compare_and_hash_by_identity():
+    # equal arrays do not make equal samples, and neither == nor hash
+    # looks at the arrays
+    x, y = np.arange(1.0, 4.0), np.array([2.0, 1.0, 5.0])
+    a, b = LinearSample(x=x, y=y), LinearSample(x=x, y=y)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +231,12 @@ def test_fit_is_repeatable_across_calls_copies_and_smoothers(monkeypatch):
              (huber_loss(1.0), BUMP, 10.0)]
     cached = [fit_smoothed(s, *case) for case in cases]
     for case, first in zip(cases, cached):
-        assert estimator._smoother(*case) is estimator._smoother(*case)
         assert _same_fit(fit_smoothed(s, *case), first)
         assert _same_fit(fit_smoothed(copy, *case), first)
+    loss, kern, _ = cases[0]
+    assert smoothed_loss(loss, kern, 5) is smoothed_loss(loss, kern, 5.0)
     # a freshly built smoother per fit gives the same fits
-    monkeypatch.setattr(estimator, "_smoother", PartialMomentSmoother)
+    monkeypatch.setattr(estimator, "smoothed_loss", PartialMomentSmoother)
     for case, first in zip(cases, cached):
         assert _same_fit(fit_smoothed(_sim(7, 100, errors="t4"), *case), first)
 
@@ -258,16 +268,16 @@ def test_fallbacks_count_steepest_descent_passes(monkeypatch):
     # a solve that returns an ascent direction forces every pass that
     # takes a step onto steepest descent
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: -b)
-    res = fit_smoothed(_sim(9, 60), check_loss(0.5), GAUSS, 2.0,
-                       SolverOptions(max_iter=5))
+    monkeypatch.setattr(estimator, "_MAX_ITER", 5)
+    res = fit_smoothed(_sim(9, 60), check_loss(0.5), GAUSS, 2.0)
     assert res.iterations == 5
     assert res.fallbacks == res.iterations
 
 
-def test_fit_smoothed_non_convergence_is_reported_not_raised():
+def test_fit_smoothed_non_convergence_is_reported_not_raised(monkeypatch):
     s = _sim(1, 100)
-    res = fit_smoothed(s, check_loss(0.3), BUMP, 5.0,
-                       SolverOptions(max_iter=0))
+    monkeypatch.setattr(estimator, "_MAX_ITER", 0)
+    res = fit_smoothed(s, check_loss(0.3), BUMP, 5.0)
     assert isinstance(res, FitResult)
     assert not res.converged
     assert res.gradient_norm >= 1e-9 * s.n
@@ -275,10 +285,9 @@ def test_fit_smoothed_non_convergence_is_reported_not_raised():
 
 def test_fit_result_convergence_invariant():
     s = _sim(2, 100)
-    opts = SolverOptions()
-    res = fit_smoothed(s, check_loss(0.3), BUMP, 10.0, opts)
+    res = fit_smoothed(s, check_loss(0.3), BUMP, 10.0)
     assert res.converged
-    assert res.gradient_norm < opts.grad_tol * s.n
+    assert res.gradient_norm < estimator._GRAD_TOL * s.n
 
 
 def test_fit_smoothed_within_kink_window_of_exact():

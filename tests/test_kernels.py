@@ -65,22 +65,10 @@ def test_symmetry_pointwise(v):
 
 
 def test_derivative_examples():
-    assert kernel_derivative(BUMP, 0.0, 1) == 0.0
-    assert kernel_derivative(GAUSS, 0.0, 1) == 0.0
-    assert abs(kernel_derivative(BUMP, 0.999999, 2)) < 1e-6
-    assert kernel_derivative(GAUSS, 1.0, 1) == pytest.approx(
+    assert kernel_derivative(BUMP, 0.0) == 0.0
+    assert kernel_derivative(GAUSS, 0.0) == 0.0
+    assert kernel_derivative(GAUSS, 1.0) == pytest.approx(
         -kernel_value(GAUSS, 1.0), rel=1e-13)
-
-
-def test_derivative_order_zero_is_value():
-    v = np.linspace(-1.5, 1.5, 7)
-    for kern in (BUMP, GAUSS):
-        assert np.array_equal(kernel_derivative(kern, v, 0), kernel_value(kern, v))
-
-
-def test_derivative_order_validation():
-    with pytest.raises(ValueError):
-        kernel_derivative(BUMP, 0.0, 3)
 
 
 @pytest.mark.parametrize("kern,vmax", [(BUMP, 0.9), (GAUSS, 4.0)])
@@ -88,43 +76,38 @@ def test_derivatives_match_finite_differences(kern, vmax):
     rng = np.random.default_rng(2)
     v = rng.uniform(-vmax, vmax, 60)
     h = 1e-5
-    for order in (1, 2):
-        lower = lambda x: kernel_derivative(kern, x, order - 1)
-        fd = (lower(v + h) - lower(v - h)) / (2 * h)
-        exact = kernel_derivative(kern, v, order)
-        scale = np.maximum(np.abs(exact), np.abs(fd))
-        mask = scale > 1e-9
-        assert np.all(np.abs(fd - exact)[mask] <= 1e-6 * scale[mask] + 1e-10)
+    fd = (kernel_value(kern, v + h) - kernel_value(kern, v - h)) / (2 * h)
+    exact = kernel_derivative(kern, v)
+    scale = np.maximum(np.abs(exact), np.abs(fd))
+    mask = scale > 1e-9
+    assert np.all(np.abs(fd - exact)[mask] <= 1e-6 * scale[mask] + 1e-10)
 
 
 def test_boundary_flatness():
-    # all derivatives vanish approaching the support edge
+    # the density and its derivative vanish approaching the support edge
     v = np.array([0.9999, 0.99999, 1.0, 1.0001])
-    for order in (0, 1, 2):
-        assert np.all(np.abs(kernel_derivative(BUMP, v, order)) < 1e-8)
+    for fn in (kernel_value, kernel_derivative):
+        assert np.all(np.abs(fn(BUMP, v)) < 1e-8)
 
 
 def test_bump_edges_give_zero_not_nan():
     # at the support edge, past it, at +/-inf and at NaN the density and
-    # its derivatives are 0, with no floating-point warning
+    # its derivative are 0, with no floating-point warning
     edges = np.array([1.0, 1.0 + 1e-12, 2.0, np.inf, np.nan])
     edges = np.concatenate([edges, -edges])
     inside = np.array([1.0 - 1e-7, -(1.0 - 1e-7)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.all(kernel_value(BUMP, edges) == 0.0)
-        for order in (0, 1, 2):
-            assert np.all(kernel_derivative(BUMP, edges, order) == 0.0)
-            assert all(kernel_derivative(BUMP, v, order) == 0.0 for v in edges)
-            assert np.all(np.isfinite(kernel_derivative(BUMP, inside, order)))
-    goldens = {0.3: (0.7505444108033992, -0.5438070842676482, -2.1357830057559246),
-               -0.7: (0.31700438590781815, 1.7062904278006357, -2.621241460184752),
-               0.95: (7.912627117596185e-05, -0.015814849728791838,
-                      2.5278695718958764)}
+        for fn in (kernel_value, kernel_derivative):
+            assert np.all(fn(BUMP, edges) == 0.0)
+            assert all(fn(BUMP, v) == 0.0 for v in edges)
+            assert np.all(np.isfinite(fn(BUMP, inside)))
+    goldens = {0.3: (0.7505444108033992, -0.5438070842676482),
+               -0.7: (0.31700438590781815, 1.7062904278006357),
+               0.95: (7.912627117596185e-05, -0.015814849728791838)}
     for v, values in goldens.items():
-        for order, golden in enumerate(values):
-            assert kernel_derivative(BUMP, v, order) == pytest.approx(golden,
-                                                                     rel=1e-14)
+        for fn, golden in zip((kernel_value, kernel_derivative), values):
+            assert fn(BUMP, v) == pytest.approx(golden, rel=1e-14)
 
 
 def test_abs_moment_examples():
@@ -232,16 +215,14 @@ def test_gaussian_far_tails_are_quiet_limits():
 
 
 def test_bump_far_tails_are_quiet_limits():
-    # v*v overflows past ~1.3e154; the bump and its derivatives are still
+    # v*v overflows past ~1.3e154; the bump and its derivative are still
     # 0 there, with no warning, and NaN still gives 0
     far = np.array([1e200, -1e200, np.inf, -np.inf, np.nan])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.all(kernel_value(BUMP, far) == 0.0)
-        assert kernel_value(BUMP, 1e200) == 0.0
-        for order in (0, 1, 2):
-            assert np.all(kernel_derivative(BUMP, far, order) == 0.0)
-            assert all(kernel_derivative(BUMP, v, order) == 0.0 for v in far)
+        for fn in (kernel_value, kernel_derivative):
+            assert np.all(fn(BUMP, far) == 0.0)
+            assert all(fn(BUMP, v) == 0.0 for v in far)
         assert np.array_equal(kernel_cdf(BUMP, far[:4]), [1.0, 0.0, 1.0, 0.0])
 
 

@@ -24,6 +24,10 @@ MU2_BUMP = 0.1581136362637982
 INV_SQRT_2PI = 0.3989422804014327
 
 CATALOG = [absolute_loss(), check_loss(0.3), huber_loss(1.0), relu_loss()]
+PUBLIC = (smooth_value, smooth_derivative, smooth_second_derivative)
+# the kink-split quadrature reference, on 1-d arrays
+QUADRATURE = (mollify._value_quadrature, mollify._derivative_quadrature,
+              mollify._second_quadrature)
 
 
 # ---------------------------------------------------------------------------
@@ -44,33 +48,22 @@ def test_scale_validation():
             smoothed_loss(absolute_loss(), BUMP, m)
 
 
-def test_method_resolution():
-    assert smoothed_loss(absolute_loss(), GAUSS, 2.0).method == "closed_form"
-    assert smoothed_loss(check_loss(0.4), GAUSS, 2.0).method == "closed_form"
-    assert smoothed_loss(relu_loss(), GAUSS, 2.0).method == "closed_form"
-    assert smoothed_loss(huber_loss(1.0), GAUSS, 2.0).method == "closed_form"
-    assert smoothed_loss(huber_loss(1.0), GAUSS, 2.0,
-                         method="closed_form").method == "closed_form"
-    for loss in CATALOG:
-        assert smoothed_loss(loss, BUMP, 2.0).method == "quadrature"
-    with pytest.raises(ValueError):
-        smoothed_loss(absolute_loss(), BUMP, 2.0, method="closed_form")
-    with pytest.raises(ValueError):
-        smoothed_loss(absolute_loss(), GAUSS, 2.0, method="spline")
-
-
 def test_closed_form_is_the_object_itself():
-    # on the Gaussian kernel the public functions are the object's own
-    # exact methods, bit for bit
+    # the public functions route by kernel, bit for bit: on the Gaussian
+    # kernel they are the object's own exact methods, on the bump kernel
+    # the kink-split quadrature
     grid = np.linspace(-2.0, 2.0, 81)
     for loss in CATALOG:
         s = smoothed_loss(loss, GAUSS, 6.0)
-        for fn, own in ((smooth_value, s.value),
-                        (smooth_derivative, s.derivative),
-                        (smooth_second_derivative, s.second_derivative)):
+        b = smoothed_loss(loss, BUMP, 6.0)
+        owns = (s.value, s.derivative, s.second_derivative)
+        for fn, own, quad in zip(PUBLIC, owns, QUADRATURE):
             assert np.array_equal(fn(s, grid), own(grid))
             got = fn(s, 0.37)
             assert isinstance(got, float) and got == own(0.37)
+            assert np.array_equal(fn(b, grid), quad(b, grid))
+            got = fn(b, 0.37)
+            assert isinstance(got, float) and got == quad(b, np.array([0.37]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +87,8 @@ def test_value_relu_gaussian_closed_form():
     s = smoothed_loss(relu_loss(), GAUSS, 2.0)
     expect = 0.5 * INV_SQRT_2PI
     assert smooth_value(s, 0.0) == pytest.approx(expect, rel=1e-12)
-    q = smoothed_loss(relu_loss(), GAUSS, 2.0, method="quadrature")
-    assert smooth_value(q, 0.0) == pytest.approx(expect, abs=1e-11)
+    assert mollify._value_quadrature(s, np.array([0.0]))[0] == pytest.approx(
+        expect, abs=1e-11)
 
 
 def test_value_against_defining_integral():
@@ -139,8 +132,7 @@ def test_second_derivative_check_gaussian():
     s = smoothed_loss(check_loss(0.3), GAUSS, 4.0)
     assert smooth_second_derivative(s, 0.0) == pytest.approx(
         4.0 * INV_SQRT_2PI, rel=1e-10)
-    q = smoothed_loss(check_loss(0.3), GAUSS, 4.0, method="quadrature")
-    assert smooth_second_derivative(q, 0.0) == pytest.approx(
+    assert mollify._second_quadrature(s, np.array([0.0]))[0] == pytest.approx(
         4.0 * INV_SQRT_2PI, abs=1e-9)
 
 
@@ -308,10 +300,9 @@ def test_pointwise_derivative_convergence():
 @pytest.mark.parametrize("loss", CATALOG, ids=lambda lo: lo.label)
 def test_closed_form_matches_quadrature(loss, m):
     grid = np.linspace(-3, 3, 601)
-    closed = smoothed_loss(loss, GAUSS, m, method="closed_form")
-    quad = smoothed_loss(loss, GAUSS, m, method="quadrature")
-    for fn in (smooth_value, smooth_derivative, smooth_second_derivative):
-        assert np.max(np.abs(fn(closed, grid) - fn(quad, grid))) < 1e-9
+    s = smoothed_loss(loss, GAUSS, m)
+    for fn, quad in zip(PUBLIC, QUADRATURE):
+        assert np.max(np.abs(fn(s, grid) - quad(s, grid))) < 1e-9
 
 
 @pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=lambda k: k.kind)
@@ -319,13 +310,13 @@ def test_closed_form_matches_quadrature(loss, m):
 def test_piecewise_reduction_matches_quadrature(loss, kern):
     grid = np.linspace(-2.5, 2.5, 201)
     for m in (2.0, 9.0):
-        s = smoothed_loss(loss, kern, m, method="quadrature")
         red = PartialMomentSmoother(loss, kern, m)
-        assert np.max(np.abs(red.value(grid) - smooth_value(s, grid))) < 1e-10
+        assert np.max(np.abs(red.value(grid)
+                             - mollify._value_quadrature(red, grid))) < 1e-10
         assert np.max(np.abs(red.derivative(grid)
-                             - smooth_derivative(s, grid))) < 1e-10
+                             - mollify._derivative_quadrature(red, grid))) < 1e-10
         assert np.max(np.abs(red.second_derivative(grid)
-                             - smooth_second_derivative(s, grid))) < 1e-9
+                             - mollify._second_quadrature(red, grid))) < 1e-9
         d, c = red.curvature_pair(grid)
         assert np.array_equal(d, red.derivative(grid))
         assert np.array_equal(c, red.second_derivative(grid))
@@ -346,9 +337,9 @@ def test_bump_window_drops_no_mass():
 def test_bump_quadrature_matches_smoother_on_rate_grid(loss, m):
     # the 6001-point grid of `mollikit rate`
     grid = np.linspace(-3.0, 3.0, 6001)
-    quad_s = smoothed_loss(loss, BUMP, m, method="quadrature")
     exact = PartialMomentSmoother(loss, BUMP, m)
-    assert np.max(np.abs(smooth_value(quad_s, grid) - exact.value(grid))) < 1e-12
+    assert np.max(np.abs(mollify._value_quadrature(exact, grid)
+                         - exact.value(grid))) < 1e-12
 
 
 @pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=lambda k: k.kind)
@@ -356,14 +347,13 @@ def test_quadrature_row_independent_of_chunk(kern, monkeypatch):
     # a chunk halves until all its rows agree, so a row's value depends on
     # its chunk neighbours only within the quadrature target
     grid = np.linspace(-3.0, 3.0, 201)
-    fns = (smooth_value, smooth_derivative, smooth_second_derivative)
     for loss in CATALOG:
         for m in (5.0, 80.0):
-            s = smoothed_loss(loss, kern, m, method="quadrature")
-            chunked = [fn(s, grid) for fn in fns]
+            s = smoothed_loss(loss, kern, m)
+            chunked = [quad(s, grid) for quad in QUADRATURE]
             with monkeypatch.context() as mp:
                 mp.setattr(mollify, "_CHUNK_ROWS", 1)
-                alone = [fn(s, grid) for fn in fns]
+                alone = [quad(s, grid) for quad in QUADRATURE]
             for scale, a, b in zip((1.0, 1.0, m), chunked, alone):
                 assert np.max(np.abs(a - b)) <= scale * mollify._QUAD_TARGET
 
@@ -371,10 +361,11 @@ def test_quadrature_row_independent_of_chunk(kern, monkeypatch):
 @pytest.mark.parametrize("kern", [GAUSS, BUMP], ids=["gaussian", "bump"])
 def test_smoother_far_arguments_are_quiet(kern):
     # far from the kinks the smoothed loss is the loss itself, and the
-    # kernel underflows there without an overflow warning; at +/-inf the
-    # value and Huber's slope are their limits, with no invalid value.
-    # Left out: Huber's value at -1e200, whose u^2 terms overflow
-    big, inf = np.array([1e200, -1e200]), np.array([np.inf, -np.inf])
+    # kernel underflows there without an overflow warning, even where
+    # Huber's u^2 terms would overflow; at +/-inf the value and Huber's
+    # slope are their limits, with no invalid value
+    big = np.array([1e200, -1e200, 1e300, -1e300])
+    inf = np.array([np.inf, -np.inf, np.inf, -np.inf])
     mixed = np.array([-np.inf, 0.3, np.inf, np.nan, -2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -384,9 +375,8 @@ def test_smoother_far_arguments_are_quiet(kern):
                 grad, curv = s.curvature_pair(u)
                 assert np.array_equal(grad, loss_subgradient(loss, big))
                 assert np.all(curv == 0.0)
-            if loss.kind != "huber":
-                assert np.allclose(s.value(big), loss_value(loss, big),
-                                   rtol=1e-15, atol=0.0)
+            assert np.array_equal(s.value(big), loss_value(loss, big))
+            assert all(s.value(u) == loss_value(loss, u) for u in big)
             assert np.array_equal(s.value(inf), loss_value(loss, inf))
             assert s.value(np.inf) == loss_value(loss, np.inf)
             assert s.derivative(-np.inf) == loss_subgradient(loss, -np.inf)
@@ -410,14 +400,15 @@ def test_bump_gap_matches_nested_quadrature(loss, m):
     # the gap integrates the smoother's exact derivative; the reference
     # integrates the kink-split quadrature derivative over the same breaks
     density = standard_normal()
-    ref = smoothed_loss(loss, BUMP, m, method="quadrature")
+    ref = smoothed_loss(loss, BUMP, m)
     radius = density.quad_breaks[-1]
     pts = {sign * b for b in density.quad_breaks for sign in (-1.0, 1.0)}
     for k in loss.kinks:
         pts.update((k, k - 1.0 / m, k + 1.0 / m))
     breaks = sorted(p for p in pts if -radius <= p <= radius)
     nested = integrate(
-        lambda u: np.abs(smooth_derivative(ref, u) - loss_subgradient(loss, u))
+        lambda u: np.abs(mollify._derivative_quadrature(ref, u)
+                         - loss_subgradient(loss, u))
         * density.pdf(u), breaks, target=1e-10)
     gap = expected_derivative_gap(loss, BUMP, m, density)
     assert abs(gap - nested) <= 1e-13
