@@ -4,8 +4,8 @@ from .distributions import ErrorDensity, standard_normal, student_t4
 from .estimator import (FitResult, LinearSample, fit_convolution_baseline,
                         fit_exact_scalar_quantile, fit_smoothed)
 from .kernels import (MollifierKernel, bump_kernel, bump_normalizer,
-                      gaussian_kernel, kernel_abs_moment, kernel_derivative,
-                      kernel_value, parse_kernel)
+                      gaussian_kernel, kernel_abs_moment, kernel_value,
+                      parse_kernel)
 from .losses import (CurvatureMeasure, LossSpec, absolute_loss, check_loss,
                      expected_curvature, huber_loss, loss_curvature,
                      loss_subgradient, loss_value, parse_loss, relu_loss)
@@ -23,7 +23,7 @@ __all__ = [
     "FitResult", "LinearSample",
     "fit_convolution_baseline", "fit_exact_scalar_quantile", "fit_smoothed",
     "MollifierKernel", "bump_kernel", "bump_normalizer", "gaussian_kernel",
-    "kernel_abs_moment", "kernel_derivative", "kernel_value", "parse_kernel",
+    "kernel_abs_moment", "kernel_value", "parse_kernel",
     "CurvatureMeasure", "LossSpec", "absolute_loss", "check_loss",
     "expected_curvature", "huber_loss", "loss_curvature", "loss_subgradient",
     "loss_value", "parse_loss", "relu_loss",

@@ -8,7 +8,8 @@ holding one experiment cell or a list of cells and write one JSON and
 one CSV table over all of them.
 
 Exit codes: 0 success, 2 usage, config or output-file error, 3
-experiment quality failure (too many excluded replications).
+experiment quality failure (too many excluded replications).  Any
+other exception is a bug and propagates.
 """
 from __future__ import annotations
 
@@ -44,7 +45,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError(f"bad grid {spec!r}, expected lo:hi:step")
-    lo, hi, step = (float(p) for p in parts)
+    try:
+        lo, hi, step = (float(p) for p in parts)
+    except ValueError as exc:
+        raise UsageError(f"bad grid {spec!r}: {exc}") from exc
     if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi <= lo:
         raise UsageError(f"bad grid {spec!r}: need finite hi > lo and step > 0")
     count = np.floor((hi - lo) / step + 1e-9)
@@ -82,8 +86,11 @@ def _write_json(path: str, payload):
 
 def _smoothing(args):
     """(loss, kernel, m_list, grid) from the shared smoothing flags."""
-    return (parse_loss(args.loss), parse_kernel(args.kernel),
-            _parse_m_list(args.m), _parse_grid(args.grid))
+    try:
+        loss, kernel = parse_loss(args.loss), parse_kernel(args.kernel)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return loss, kernel, _parse_m_list(args.m), _parse_grid(args.grid)
 
 
 def cmd_curve(args) -> int:
@@ -237,7 +244,7 @@ def main(argv=None) -> int:
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUALITY
-    except (UsageError, MollikitError, ValueError, OSError) as exc:
+    except (UsageError, MollikitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

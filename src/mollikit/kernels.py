@@ -87,18 +87,6 @@ def kernel_value(kernel: MollifierKernel, v) -> float | np.ndarray:
     return _as_same(v, out)
 
 
-def kernel_derivative(kernel: MollifierKernel, v) -> float | np.ndarray:
-    """First derivative phi'(v); zero outside the bump support."""
-    x = np.asarray(v, dtype=float)
-    phi = kernel_value(kernel, x)
-    if kernel.kind == GAUSSIAN:
-        return _as_same(v, -x * phi)
-    # where phi is 0, the gap may overflow and g may be inf or NaN
-    with np.errstate(all="ignore"):
-        g = -2.0 * x / (1.0 - x * x)**2              # (log phi)'
-        return _as_same(v, np.where(phi > 0.0, phi * g, 0.0))
-
-
 def kernel_abs_moment(kernel: MollifierKernel, k: int) -> float:
     """Absolute moment mu_k = int |v|^k phi(v) dv for k in {0, 1, 2}."""
     if k not in (0, 1, 2):

@@ -14,11 +14,11 @@ integrals exactly, by summing them by parts over the loss pieces, so
 that one kernel CDF/partial-moment/density lookup per kink remains
 (no terms against the kernel totals: see the class).  `smoothed_loss`
 returns one such object per (loss, kernel, scale) in the process.
-Kink-split panel quadrature (`_value_quadrature` and its siblings) is
-the independent reference the tests compare the object against.
-`smooth_value` and its siblings choose their route from the kernel:
-the object's own methods on the Gaussian kernel, quadrature on the
-bump kernel.  `expected_derivative_gap` integrates the object's exact
+`smooth_derivative` and `smooth_second_derivative` are the object's
+own methods on both kernels.  `smooth_value` is too on the Gaussian
+kernel; on the bump kernel it still runs kink-split panel quadrature
+(`_value_quadrature`), which the tests also use as their independent
+reference.  `expected_derivative_gap` integrates the object's exact
 derivative, with quadrature only for its outer expectation.
 """
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from .distributions import _as_same
 from .errors import InvalidScaleError
-from .kernels import (MollifierKernel, kernel_cdf, kernel_derivative,
-                      kernel_integrals, kernel_partial_moment, kernel_value)
+from .kernels import (MollifierKernel, kernel_cdf, kernel_integrals,
+                      kernel_partial_moment, kernel_value)
 from .losses import LossSpec, loss_pieces, loss_subgradient, loss_value
 from .quadrature import integrate_rows
 
@@ -99,40 +99,27 @@ def _value_quadrature(s: PartialMomentSmoother, u: np.ndarray) -> np.ndarray:
                       * kernel_value(s.kernel, v))
 
 
-def _derivative_quadrature(s: PartialMomentSmoother, u: np.ndarray) -> np.ndarray:
-    return _quad_rows(s, u, lambda arg, v: loss_subgradient(s.loss, arg)
-                      * kernel_value(s.kernel, v))
-
-
-def _second_quadrature(s: PartialMomentSmoother, u: np.ndarray) -> np.ndarray:
-    return -s.m * _quad_rows(s, u, lambda arg, v: loss_subgradient(s.loss, arg)
-                             * kernel_derivative(s.kernel, v))
-
-
 # ---------------------------------------------------------------------------
 # public evaluation
 # ---------------------------------------------------------------------------
 
-def _dispatch(s: PartialMomentSmoother, u, exact, quad):
-    if s.kernel.kind == "gaussian":
-        return exact(u)
-    return _as_same(u, quad(s, np.atleast_1d(np.asarray(u, dtype=float))))
-
-
 def smooth_value(s: PartialMomentSmoother, u) -> float | np.ndarray:
     """Smoothed loss value at u (scalar or array)."""
-    return _dispatch(s, u, s.value, _value_quadrature)
+    if s.kernel.kind == "gaussian":
+        return s.value(u)
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    return _as_same(u, _value_quadrature(s, arr))
 
 
 def smooth_derivative(s: PartialMomentSmoother, u) -> float | np.ndarray:
     """First derivative of the smoothed loss at u."""
-    return _dispatch(s, u, s.derivative, _derivative_quadrature)
+    return s.derivative(u)
 
 
 def smooth_second_derivative(s: PartialMomentSmoother, u) -> float | np.ndarray:
-    """Second derivative of the smoothed loss at u (nonnegative up to
-    quadrature noise, by convexity)."""
-    return _dispatch(s, u, s.second_derivative, _second_quadrature)
+    """Second derivative of the smoothed loss at u (nonnegative, by
+    convexity, up to rounding)."""
+    return s.second_derivative(u)
 
 
 def sup_error(s: PartialMomentSmoother, grid) -> float:
@@ -217,18 +204,32 @@ class PartialMomentSmoother:
         return acc
 
     def derivative(self, u) -> float | np.ndarray:
-        return _as_same(u, self.curvature_pair(u)[0])
+        arr = np.atleast_1d(np.asarray(u, dtype=float))
+        t = self.m * (self._kinks - arr)
+        return _as_same(u, self._gradient(arr, t, kernel_cdf(self.kernel, t)))
 
     def second_derivative(self, u) -> float | np.ndarray:
-        return _as_same(u, self.curvature_pair(u)[1])
+        arr = np.atleast_1d(np.asarray(u, dtype=float))
+        t = self.m * (self._kinks - arr)
+        curv = self._d_psi @ kernel_value(self.kernel, t)
+        if self._has_quad:
+            curv -= self._d_quad @ kernel_cdf(self.kernel, t)
+        return _as_same(u, curv)
 
     def curvature_pair(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(derivative, second derivative) sharing one kernel lookup."""
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         t = self.m * (self._kinks - arr)
         cdf = kernel_cdf(self.kernel, t)
-        grad = self._slope - self._d_slope @ cdf
         curv = self._d_psi @ kernel_value(self.kernel, t)
+        if self._has_quad:
+            curv -= self._d_quad @ cdf
+        return self._gradient(arr, t, cdf), curv
+
+    def _gradient(self, arr: np.ndarray, t: np.ndarray,
+                  cdf: np.ndarray) -> np.ndarray:
+        """The derivative at arr, given t = m*(kinks - arr) and C(t)."""
+        grad = self._slope - self._d_slope @ cdf
         if self._has_quad:
             pm1 = kernel_partial_moment(self.kernel, t, 1) / self.m
             infinite = np.isinf(arr)
@@ -238,8 +239,7 @@ class PartialMomentSmoother:
                 grad = np.where(infinite, loss_subgradient(self.loss, arr), grad)
             else:
                 grad -= self._d_quad @ (arr * cdf + pm1)
-            curv -= self._d_quad @ cdf
-        return grad, curv
+        return grad
 
 
 # ---------------------------------------------------------------------------

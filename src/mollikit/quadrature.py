@@ -1,12 +1,11 @@
 """Composite Gauss-Legendre quadrature with panel halving.
 
-Both entry points split the integration range at caller-supplied
-breakpoints (kinks of the integrand must be among them), apply a
-50-node Gauss-Legendre rule on every panel, then halve all panels
+`integrate_rows` splits each integration range at caller-supplied
+breakpoints (kinks of the integrand must be among them), applies a
+50-node Gauss-Legendre rule on every panel, then halves all panels
 together until two successive composite estimates agree to an absolute
-target.  `integrate` handles one integral; `integrate_rows` handles a
-batch of integrals that share panel count but not panel positions,
-which is how grid/residual sweeps stay vectorized.
+target.  It handles a batch of integrals that share panel count but
+not panel positions, which is how grid sweeps stay vectorized.
 """
 from __future__ import annotations
 
@@ -62,18 +61,3 @@ def integrate_rows(f, breaks, target=DEFAULT_TARGET, max_halvings=9):
         f"batched quadrature did not reach target {target:g} "
         f"after {max_halvings} halvings (last change {done:.3e})")
 
-
-def integrate(f, breakpoints, target=DEFAULT_TARGET, max_halvings=12):
-    """Integrate a vectorized scalar function over [b_0, b_K].
-
-    breakpoints is an increasing sequence; f maps an ndarray of points
-    to an ndarray of values.  Returns a float.
-    """
-    breaks = np.asarray(breakpoints, dtype=float).reshape(1, -1)
-    if breaks.shape[1] < 2:
-        raise ValueError("need at least two breakpoints")
-
-    def row_f(v):
-        return np.asarray(f(v.ravel()), dtype=float).reshape(v.shape)
-
-    return float(integrate_rows(row_f, breaks, target, max_halvings)[0])

@@ -1,0 +1,66 @@
+"""Independent references the tests compare the library against.
+
+The library evaluates the smoothed loss's derivatives exactly, by
+summation by parts (`mollify.PartialMomentSmoother`).  These are the
+same integrals by kink-split panel quadrature over the kernel:
+
+    deriv(u)  = int psi(u + v/m) phi(v) dv
+    deriv2(u) = -m * int psi(u + v/m) phi'(v) dv
+
+on the library's own panel layout (`mollify._quad_rows`), so they share
+its windows and chunks but none of its closed forms.
+`kernel_derivative` is phi', which only the second-derivative reference
+needs, and `integrate` is one scalar integral on `integrate_rows`.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from mollikit import mollify
+from mollikit.distributions import _as_same
+from mollikit.kernels import MollifierKernel, kernel_value
+from mollikit.losses import loss_subgradient
+from mollikit.quadrature import DEFAULT_TARGET, integrate_rows
+
+
+def kernel_derivative(kernel: MollifierKernel, v) -> float | np.ndarray:
+    """First derivative phi'(v); zero outside the bump support."""
+    x = np.asarray(v, dtype=float)
+    phi = kernel_value(kernel, x)
+    if kernel.kind == "gaussian":
+        return _as_same(v, -x * phi)
+    # where phi is 0, the gap may overflow and g may be inf or NaN
+    with np.errstate(all="ignore"):
+        g = -2.0 * x / (1.0 - x * x)**2              # (log phi)'
+        return _as_same(v, np.where(phi > 0.0, phi * g, 0.0))
+
+
+def integrate(f, breakpoints, target=DEFAULT_TARGET, max_halvings=12):
+    """Integrate a vectorized scalar function over [b_0, b_K].
+
+    breakpoints is an increasing sequence; f maps an ndarray of points
+    to an ndarray of values.  Returns a float.
+    """
+    breaks = np.asarray(breakpoints, dtype=float).reshape(1, -1)
+    if breaks.shape[1] < 2:
+        raise ValueError("need at least two breakpoints")
+
+    def row_f(v):
+        return np.asarray(f(v.ravel()), dtype=float).reshape(v.shape)
+
+    return float(integrate_rows(row_f, breaks, target, max_halvings)[0])
+
+
+def derivative_quadrature(s: mollify.PartialMomentSmoother,
+                          u: np.ndarray) -> np.ndarray:
+    """rho_m'(u) on a 1-d array, by quadrature."""
+    return mollify._quad_rows(s, u, lambda arg, v: loss_subgradient(s.loss, arg)
+                              * kernel_value(s.kernel, v))
+
+
+def second_quadrature(s: mollify.PartialMomentSmoother,
+                      u: np.ndarray) -> np.ndarray:
+    """rho_m''(u) on a 1-d array, by quadrature against phi'."""
+    return -s.m * mollify._quad_rows(
+        s, u, lambda arg, v: loss_subgradient(s.loss, arg)
+        * kernel_derivative(s.kernel, v))

