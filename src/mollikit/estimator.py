@@ -195,12 +195,11 @@ def fit_exact_scalar_quantile(sample: LinearSample, tau: float) -> float:
     # their right slope, the rest their left slope
     tail_left = np.concatenate([np.cumsum(left[::-1])[::-1], [0.0]])
     dplus = np.cumsum(right) + tail_left[1:]
-    # ties: evaluate the derivative only at the last of each equal run
-    unique_last = np.nonzero(np.diff(b, append=np.inf) > 0)[0]
-    for idx in unique_last:
-        if dplus[idx] >= 0.0:
-            return float(b[idx])
-    return float(b[-1])
+    # ties: evaluate the derivative only at the last of each equal run.
+    # D+ at the last breakpoint is the sum of the right slopes, so >= 0:
+    # it is always a candidate, and the first candidate >= 0 is the answer
+    unique_last = np.nonzero(np.append(np.diff(b) > 0, True))[0]
+    return float(b[unique_last[np.argmax(dplus[unique_last] >= 0.0)]])
 
 
 def fit_convolution_baseline(sample: LinearSample, tau: float,

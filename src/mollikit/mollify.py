@@ -19,7 +19,8 @@ own methods on both kernels.  `smooth_value` is too on the Gaussian
 kernel; on the bump kernel it still runs kink-split panel quadrature
 (`_value_quadrature`), which the tests also use as their independent
 reference.  `expected_derivative_gap` integrates the object's exact
-derivative, with quadrature only for its outer expectation.
+derivative, with quadrature only for its outer expectation, on the
+kernel's window at each kink.
 """
 from __future__ import annotations
 
@@ -55,7 +56,8 @@ def smoothed_loss(loss: LossSpec, kernel: MollifierKernel,
 # ---------------------------------------------------------------------------
 
 def _base_breaks(kernel: MollifierKernel) -> tuple[float, ...]:
-    """Fixed panel boundaries in kernel space; the ends bound the window.
+    """Fixed panel boundaries in kernel space; the ends bound the window
+    that both quadratures, the bump value and the gap, integrate over.
     The bump window is [-0.99, 0.99]: beyond it phi < 3.4e-22 and each
     side holds 6.5e-26 of the kernel's mass, far under any target.
     Gaussian mass beyond +/-8 is below 1e-15; the split at +/-2
@@ -174,6 +176,7 @@ class PartialMomentSmoother:
         self._alpha, self._slope = pieces[-1, 2:4]
         self._d_alpha, self._d_slope, self._d_quad = np.diff(pieces[:, 2:], axis=0).T
         self._d_psi = self.m * (self._d_slope + self._d_quad * kinks)
+        self._has_jump = bool(np.any(self._d_psi))
         self._has_quad = bool(np.any(pieces[:, 4]))
 
     def value(self, u) -> float | np.ndarray:
@@ -211,20 +214,21 @@ class PartialMomentSmoother:
     def second_derivative(self, u) -> float | np.ndarray:
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         t = self.m * (self._kinks - arr)
-        curv = self._d_psi @ kernel_value(self.kernel, t)
-        if self._has_quad:
-            curv -= self._d_quad @ kernel_cdf(self.kernel, t)
-        return _as_same(u, curv)
+        cdf = kernel_cdf(self.kernel, t) if self._has_quad else None
+        return _as_same(u, self._curvature(t, cdf))
 
     def curvature_pair(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(derivative, second derivative) sharing one kernel lookup."""
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         t = self.m * (self._kinks - arr)
         cdf = kernel_cdf(self.kernel, t)
-        curv = self._d_psi @ kernel_value(self.kernel, t)
-        if self._has_quad:
-            curv -= self._d_quad @ cdf
-        return self._gradient(arr, t, cdf), curv
+        return self._gradient(arr, t, cdf), self._curvature(t, cdf)
+
+    def _curvature(self, t: np.ndarray, cdf: np.ndarray | None) -> np.ndarray:
+        """The second derivative, given t = m*(kinks - arr) and C(t), which
+        only a quadratic piece reads; phi only where a subgradient jumps."""
+        curv = self._d_psi @ kernel_value(self.kernel, t) if self._has_jump else 0.0
+        return curv - self._d_quad @ cdf if self._has_quad else curv
 
     def _gradient(self, arr: np.ndarray, t: np.ndarray,
                   cdf: np.ndarray) -> np.ndarray:
@@ -251,17 +255,14 @@ def expected_derivative_gap(loss: LossSpec, kernel: MollifierKernel, m: float,
     """E|rho_m'(e) - psi(e)| for e distributed as `density`.
 
     Integrates |smoothed derivative - subgradient| * pdf by panel
-    quadrature, splitting at every kink and at kink +/- 1/m where the
-    integrand changes character.
+    quadrature over the kernel's window at each kink, split at the kink.
+    Beyond the windows the integrand is exactly 0 on the bump (past
+    k +/- 1/m) and below 6e-16 * pdf per unit subgradient jump on the
+    Gaussian, so the density's shape never decides the panels.
     """
-    if not density.quad_breaks:
-        raise ValueError(f"density {density.name!r} has no quadrature breaks")
     s = smoothed_loss(loss, kernel, m)
-    radius = density.quad_breaks[-1]
-    pts = {sign * b for b in density.quad_breaks for sign in (-1.0, 1.0)}
-    for k in loss.kinks:
-        pts.update((k, k - 1.0 / m, k + 1.0 / m))
-    breaks = np.array(sorted(p for p in pts if -radius <= p <= radius))
+    breaks = np.unique([k + b / m for k in loss.kinks
+                        for b in (0.0, *_base_breaks(kernel))])
 
     def row_f(v):
         u = v.ravel()

@@ -11,6 +11,8 @@ on the library's own panel layout (`mollify._quad_rows`), so they share
 its windows and chunks but none of its closed forms.
 `kernel_derivative` is phi', which only the second-derivative reference
 needs, and `integrate` is one scalar integral on `integrate_rows`.
+The t4 CDF and quantile are closed forms, independent of the scipy
+routines the library calls (scipy.stats.t calls the same ones).
 """
 from __future__ import annotations
 
@@ -64,3 +66,26 @@ def second_quadrature(s: mollify.PartialMomentSmoother,
     return -s.m * mollify._quad_rows(
         s, u, lambda arg, v: loss_subgradient(s.loss, arg)
         * kernel_derivative(s.kernel, v))
+
+
+def t4_quantile_closed_form(p) -> np.ndarray:
+    """t4 quantile in closed form (Shaw 2006, J. Comput. Finance 9(4)).
+
+    With alpha = 4p(1-p) the quantile is
+    sign(p - 1/2) * 2 * sqrt(cos(arccos(sqrt(alpha))/3) / sqrt(alpha) - 1).
+    """
+    p = np.asarray(p, dtype=float)
+    root = np.sqrt(4.0 * p * (1.0 - p))
+    return np.sign(p - 0.5) * 2.0 * np.sqrt(
+        np.cos(np.arccos(root) / 3.0) / root - 1.0)
+
+
+def t4_cdf_closed_form(x) -> np.ndarray:
+    """t4 CDF in closed form: F(x) = (1+s)^2 (2-s)/4 with s = x/r and
+    r = sqrt(4 + x^2).  On the left 1 + s would cancel, so it is taken
+    as 4/(r(r - x)); on the right F(x) = 1 - F(-x)."""
+    x = np.asarray(x, dtype=float)
+    neg = -np.abs(x)
+    r = np.sqrt(4.0 + neg * neg)
+    left = (4.0 / (r * (r - neg)))**2 * (2.0 - neg / r) / 4.0
+    return np.where(x > 0.0, 1.0 - left, left)

@@ -6,6 +6,8 @@ from scipy.stats import t as student_t
 from mollikit.distributions import (normal_pdf, normal_quantile, standard_normal,
                                     student_t4, t4_cdf, t4_pdf, t4_quantile)
 
+from reference import integrate, t4_cdf_closed_form, t4_quantile_closed_form
+
 
 def test_normal_quantile_examples():
     assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
@@ -34,7 +36,14 @@ def test_t4_pdf_at_zero():
 
 def test_t4_cdf_closed_form_matches_scipy():
     x = np.linspace(-30, 30, 301)
-    assert np.allclose(t4_cdf(x), student_t(4).cdf(x), atol=1e-13)
+    assert np.allclose(t4_cdf(x), t4_cdf_closed_form(x), atol=1e-13)
+
+
+def test_t4_cdf_left_tail_keeps_relative_accuracy():
+    # 0.5 + 0.75 s (1 - s^2/3) cancels here: at -1e4 it gives 3.9e-16
+    # where the CDF is 3.0e-16, and at -100 it is 6.9e-10 off relative
+    x = np.array([-1e4, -100.0])
+    assert np.allclose(t4_cdf(x), t4_cdf_closed_form(x), rtol=1e-14, atol=0.0)
 
 
 def test_t4_pdf_is_cdf_derivative():
@@ -46,21 +55,22 @@ def test_t4_pdf_is_cdf_derivative():
 
 def test_t4_quantile_examples():
     assert t4_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-    assert t4_quantile(0.975) == pytest.approx(student_t(4).ppf(0.975), abs=1e-9)
+    assert t4_quantile(0.975) == pytest.approx(t4_quantile_closed_form(0.975),
+                                               abs=1e-9)
 
 
 def test_t4_quantile_round_trip():
     p = np.linspace(0.001, 0.999, 199)
     q = t4_quantile(p)
     assert np.allclose(t4_cdf(q), p, atol=1e-11)
-    assert np.allclose(q, student_t(4).ppf(p), atol=1e-8)
+    assert np.allclose(q, t4_quantile_closed_form(p), atol=1e-8)
     # far tails and the neighbourhood of the median, where the closed
     # form divides by sqrt(4p(1-p)) or takes the root of a tiny difference
     tails = np.logspace(-12, -3, 91)
     centre = 0.5 + np.linspace(-1e-6, 1e-6, 201)
     p = np.concatenate([tails, 1.0 - tails, centre])
     q = t4_quantile(p)
-    ref = student_t(4).ppf(p)
+    ref = t4_quantile_closed_form(p)
     assert np.max(np.abs(q - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
 
 
@@ -72,11 +82,11 @@ def test_t4_quantile_domain():
 
 
 def test_densities_have_unit_mass():
-    from reference import integrate
-    for dens in (standard_normal(), student_t4()):
-        radius = dens.quad_breaks[-1]
-        breaks = sorted({-radius, *(-b for b in dens.quad_breaks), 0.0,
-                         *dens.quad_breaks, radius})
+    # symmetric breaks, the last one the truncation radius
+    for dens, half in ((standard_normal(), (0.5, 1.0, 2.0, 4.0, 8.0, 10.0)),
+                       (student_t4(), (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0,
+                                       256.0, 2000.0))):
+        breaks = sorted({0.0, *half, *(-b for b in half)})
         mass = integrate(dens.pdf, breaks, target=1e-12)
         assert mass == pytest.approx(1.0, abs=1e-7)
 

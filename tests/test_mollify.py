@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import expit
 
 from mollikit import mollify
 from mollikit.distributions import ErrorDensity, standard_normal
 from mollikit.errors import InvalidScaleError
 from mollikit.kernels import (bump_kernel, gaussian_kernel, kernel_abs_moment,
-                              kernel_value)
+                              kernel_cdf, kernel_value)
 from mollikit.losses import (absolute_loss, check_loss, huber_loss, loss_subgradient,
                              loss_value, relu_loss)
 from mollikit.mollify import (PartialMomentSmoother, expected_derivative_gap,
@@ -88,6 +89,26 @@ def test_bump_derivatives_never_reach_quadrature(monkeypatch):
     # the patch bites: the bump value still takes quadrature
     with pytest.raises(AssertionError, match="quadrature called"):
         smooth_value(s, grid)
+
+
+def test_huber_curvature_never_looks_up_phi(monkeypatch):
+    # Huber's subgradient has no jumps, so its smoothed curvature is
+    # C(m(c - u)) - C(m(-c - u)) alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("phi looked up")
+
+    grid = np.linspace(-3.0, 3.0, 601)
+    cases = []
+    for kern in (GAUSS, BUMP):
+        s = PartialMomentSmoother(huber_loss(1.0), kern, 6.0)
+        curv = (kernel_cdf(kern, 6.0 * (1.0 - grid))
+                - kernel_cdf(kern, 6.0 * (-1.0 - grid)))
+        cases.append((s, s.derivative(grid), curv))
+    monkeypatch.setattr(mollify, "kernel_value", refuse)
+    for s, grad, curv in cases:
+        assert np.array_equal(s.second_derivative(grid), curv)
+        pair = s.curvature_pair(grid)
+        assert np.array_equal(pair[0], grad) and np.array_equal(pair[1], curv)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +443,11 @@ def test_smoother_far_arguments_are_quiet(kern):
 @pytest.mark.parametrize("loss", CATALOG, ids=lambda lo: lo.label)
 def test_bump_gap_matches_nested_quadrature(loss, m):
     # the gap integrates the smoother's exact derivative; the reference
-    # integrates the kink-split quadrature derivative over the same breaks
+    # integrates the kink-split quadrature derivative over the same
+    # breaks, the bump window at each kink
     density = standard_normal()
     ref = smoothed_loss(loss, BUMP, m)
-    radius = density.quad_breaks[-1]
-    pts = {sign * b for b in density.quad_breaks for sign in (-1.0, 1.0)}
-    for k in loss.kinks:
-        pts.update((k, k - 1.0 / m, k + 1.0 / m))
-    breaks = sorted(p for p in pts if -radius <= p <= radius)
+    breaks = sorted({k + b / m for k in loss.kinks for b in (-0.99, 0.0, 0.99)})
     nested = integrate(
         lambda u: np.abs(derivative_quadrature(ref, u)
                          - loss_subgradient(loss, u))
@@ -460,11 +478,39 @@ def test_expected_derivative_gap_vanishes():
     assert gap < 1e-3
 
 
-def test_expected_derivative_gap_needs_density_breaks():
-    bare = ErrorDensity(name="bare", pdf=standard_normal().pdf,
-                        cdf=standard_normal().cdf)
-    with pytest.raises(ValueError, match="'bare'"):
-        expected_derivative_gap(check_loss(0.5), BUMP, 10.0, bare)
+def _logistic_pdf(u):
+    z = np.exp(-np.abs(u))
+    return z / (1.0 + z)**2
+
+
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
+@pytest.mark.parametrize("loss", [check_loss(0.3), huber_loss(1.0)],
+                         ids=lambda lo: lo.label)
+def test_expected_derivative_gap_takes_any_density(loss, kern):
+    # the panels come from the kernel's window at each kink, so a density
+    # is only its pdf and CDF; the reference integrates the whole line
+    logistic = ErrorDensity(name="logistic", pdf=_logistic_pdf, cdf=expit)
+    m = 10.0
+    s = smoothed_loss(loss, kern, m)
+
+    def f(u):
+        return (abs(s.derivative(u) - loss_subgradient(loss, u))
+                * _logistic_pdf(u))
+
+    edges = [-np.inf, *sorted(k + b / m for k in loss.kinks
+                              for b in (-1.0, 0.0, 1.0)), np.inf]
+    ref = sum(quad(f, lo, hi, epsabs=1e-20, epsrel=1e-13, limit=200)[0]
+              for lo, hi in zip(edges[:-1], edges[1:]))
+    gap = expected_derivative_gap(loss, kern, m, logistic)
+    assert gap == pytest.approx(ref, rel=1e-10)
+
+
+def test_expected_derivative_gap_huber_gaussian_tight():
+    # a tight scipy quad reference of E|rho_m' - psi| for Huber (c = 1)
+    # under N(0, 1); it is phi(1)/m^2 to leading order
+    gap = expected_derivative_gap(huber_loss(1.0), GAUSS, 1000.0,
+                                  standard_normal())
+    assert gap == pytest.approx(2.419707245191554e-07, rel=1e-9)
 
 
 def test_expected_second_derivative_bias_shrinks():

@@ -12,6 +12,8 @@ from mollikit.montecarlo import (ExperimentConfig, ExperimentResult,
                                  rmse_table_csv, run_mad_experiment,
                                  run_rmse_experiment)
 
+from reference import t4_quantile_closed_form
+
 INV_SQRT_2PI = 0.3989422804014327
 
 
@@ -127,7 +129,7 @@ def test_quantile_shift_normal_value():
 def test_quantile_shift_t4_matches_reference():
     for tau in (0.1, 0.3, 0.7, 0.975):
         assert error_quantile_shift("t4", tau) == pytest.approx(
-            student_t(4).ppf(tau), abs=1e-8)
+            float(t4_quantile_closed_form(tau)), abs=1e-8)
 
 
 def test_quantile_shift_domain():
