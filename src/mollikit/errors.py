@@ -41,6 +41,14 @@ class IncompleteSampleError(MollikitError, ValueError):
     """Operation needs the sample's true errors and parameters."""
 
 
+class NonFiniteSampleError(MollikitError, ValueError):
+    """Sample arrays must hold finite values only."""
+
+
+class InvalidStartError(MollikitError, ValueError):
+    """Solver start must be a finite vector with one entry per regressor."""
+
+
 class CurvatureUndefinedError(MollikitError, ValueError):
     """Error density is not evaluable at a curvature atom."""
 

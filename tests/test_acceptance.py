@@ -220,14 +220,6 @@ def test_criterion_09_surrogate_minimizer_variance():
            f"variance {var:.4f} vs {target:.4f} (+-10%), runtime {elapsed:.0f}s")
 
 
-def _mean_abs_betas(records, key):
-    """mean|beta_m| at scale `key` and mean|beta_Q| over the replications
-    that entered the MAD average."""
-    good = [r for r in records if not r["failed"]]
-    return (float(np.mean([abs(r["beta_m"][key]) for r in good])),
-            float(np.mean([abs(r["beta_q"]) for r in good])))
-
-
 def test_criterion_10_mad_reproduction():
     start = time.perf_counter()
     cfg_t4 = ExperimentConfig(n=100, replications=1000, tau=0.5,
@@ -239,8 +231,8 @@ def test_criterion_10_mad_reproduction():
     res_t4 = run_mad_experiment(cfg_t4, threads=THREADS)
     res_n = run_mad_experiment(cfg_n, threads=THREADS)
     mad_t4, mad_n = res_t4.mad_m["5"], res_n.mad_m["15"]
-    bm_t4, bq_t4 = _mean_abs_betas(res_t4.records, "5")
-    bm_n, bq_n = _mean_abs_betas(res_n.records, "15")
+    bm_t4, bq_t4 = res_t4.mean_abs_beta_m["5"], res_t4.mean_abs_beta_q
+    bm_n, bq_n = res_n.mean_abs_beta_m["15"], res_n.mean_abs_beta_q
     elapsed = time.perf_counter() - start
     ok_t4 = abs(mad_t4 - 0.838) <= 0.2 * 0.838
     ok_n = abs(mad_n - 0.680) <= 0.2 * 0.680

@@ -203,7 +203,9 @@ def test_mad_cli(tmp_path):
     assert data["kind"] == "mad"
     assert set(data["mad_m"]) == {"5", "15"}
     rows = _read_csv(tmp_path / "m.csv")
-    assert rows[0] == ["dist", "m", "n=100"]
+    assert rows[0] == ["statistic", "dist", "m", "n=100"]
+    assert [row[0] for row in rows[1:]] == ["MAD", "MAD", "mean|beta_m|",
+                                            "mean|beta_m|", "mean|beta_Q|"]
 
 
 def test_mad_list_refuses_tau_before_any_cell_runs(tmp_path, monkeypatch, capsys):

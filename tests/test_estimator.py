@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from mollikit import estimator
 from mollikit.errors import (DegenerateRegressorError, InvalidBandwidthError,
-                             InvalidScaleError, NonCoerciveLossError,
+                             InvalidScaleError, InvalidStartError,
+                             NonCoerciveLossError, NonFiniteSampleError,
                              SingularDesignError, UnsupportedDimensionError)
 from mollikit.estimator import (FitResult, LinearSample,
                                 fit_convolution_baseline,
@@ -12,6 +13,7 @@ from mollikit.estimator import (FitResult, LinearSample,
 from mollikit.kernels import bump_kernel, gaussian_kernel
 from mollikit.losses import absolute_loss, check_loss, huber_loss, relu_loss
 from mollikit.mollify import PartialMomentSmoother, smoothed_loss
+from mollikit.montecarlo import ExperimentConfig, generate_sample
 
 BUMP = bump_kernel()
 GAUSS = gaussian_kernel()
@@ -77,6 +79,21 @@ def test_sample_arrays_are_read_only_copies():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert _same_fit(fit_smoothed(s, check_loss(0.3), BUMP, 10.0), fresh)
+
+
+def test_sample_rejects_non_finite_values():
+    # before the check, the exact solver returned 0.0, NaN and inf here
+    ones = np.ones(3)
+    for y in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(NonFiniteSampleError):
+            LinearSample(x=ones, y=np.array(y))
+    with pytest.raises(NonFiniteSampleError):
+        LinearSample(x=np.array([1.0, -np.inf, 1.0]), y=np.zeros(3))
+    with pytest.raises(NonFiniteSampleError):
+        LinearSample(x=ones, y=ones, e=np.array([0.0, np.nan, 0.0]),
+                     theta0=np.array([1.0]))
+    with pytest.raises(NonFiniteSampleError):
+        LinearSample(x=ones, y=ones, e=np.zeros(3), theta0=np.array([np.inf]))
 
 
 def test_sample_truth_consistency_accepted():
@@ -221,6 +238,49 @@ def test_singular_design_raises_on_every_call_in_order():
             fit_smoothed(singular, check_loss(0.5), BUMP, m)
         with pytest.raises(InvalidScaleError):
             fit_smoothed(_sim(6, 30), check_loss(0.5), BUMP, m)
+
+
+def test_start_from_exact_fit_lands_on_the_least_squares_fit():
+    # the Monte Carlo start: the same minimizer, to the solver's tolerance
+    config = ExperimentConfig(n=100, replications=50, tau=0.3,
+                              error_dist="t4", m_list=(5, 10, 15),
+                              h_list=(0.1, 0.5, 0.9), base_seed=1900)
+    loss = check_loss(config.tau)
+    for j in range(config.replications):
+        s = generate_sample(config, j)
+        start = np.array([fit_exact_scalar_quantile(s, config.tau)])
+        pairs = [(fit_smoothed(s, loss, BUMP, m, start=start),
+                  fit_smoothed(s, loss, BUMP, m)) for m in config.m_list]
+        pairs += [(fit_convolution_baseline(s, config.tau, h, start=start),
+                   fit_convolution_baseline(s, config.tau, h))
+                  for h in config.h_list]
+        for near, default in pairs:
+            assert near.converged and default.converged
+            assert abs(near.theta_hat[0] - default.theta_hat[0]) <= 1e-7
+
+
+def test_default_start_is_least_squares():
+    s = _sim(10, 100, errors="t4")
+    ls = s._least_squares[0]
+    for loss, kern, m in [(check_loss(0.3), BUMP, 15.0),
+                          (check_loss(0.3), GAUSS, 2.0),
+                          (huber_loss(1.0), BUMP, 10.0)]:
+        assert _same_fit(fit_smoothed(s, loss, kern, m, start=ls),
+                         fit_smoothed(s, loss, kern, m))
+    assert _same_fit(fit_convolution_baseline(s, 0.3, 0.5, start=ls),
+                     fit_convolution_baseline(s, 0.3, 0.5))
+
+
+def test_invalid_start_raises_after_the_design_check():
+    s = _sim(11, 30)
+    for bad in ([1.0, 2.0], np.array([[1.0]]), 1.0, [np.nan], [np.inf]):
+        with pytest.raises(InvalidStartError):
+            fit_smoothed(s, check_loss(0.5), BUMP, 5.0, start=bad)
+        with pytest.raises(InvalidStartError):
+            fit_convolution_baseline(s, 0.5, 0.5, start=bad)
+    singular = LinearSample(x=np.ones((10, 2)), y=np.arange(10.0))
+    with pytest.raises(SingularDesignError):
+        fit_smoothed(singular, check_loss(0.5), BUMP, 5.0, start=[np.nan])
 
 
 def test_fit_is_repeatable_across_calls_copies_and_smoothers(monkeypatch):

@@ -5,7 +5,11 @@ import pytest
 from scipy.stats import t as student_t
 
 from mollikit.errors import ExperimentError, SingularDesignError
-from mollikit.estimator import LinearSample
+from mollikit.estimator import (LinearSample, fit_convolution_baseline,
+                                fit_smoothed)
+from mollikit.kernels import bump_kernel
+from mollikit.losses import check_loss
+from mollikit.mollify import PartialMomentSmoother
 from mollikit.montecarlo import (ExperimentConfig, ExperimentResult,
                                  analytic_curvature, error_quantile_shift,
                                  generate_sample, mad_table_csv,
@@ -222,6 +226,34 @@ def test_rmse_sensible_magnitude():
         assert abs(v - res.rmse_tau) < 0.05
 
 
+def test_fits_from_the_exact_fit_need_fewer_smoother_calls(monkeypatch):
+    # the saving of starting Newton at the exact quantile fit, counted
+    # (so not timed): at most 0.75x the calls of least-squares starts
+    calls = [0]
+    for name in ("value", "curvature_pair"):
+        method = getattr(PartialMomentSmoother, name)
+
+        def counted(self, u, method=method):
+            calls[0] += 1
+            return method(self, u)
+        monkeypatch.setattr(PartialMomentSmoother, name, counted)
+
+    cfg = _cfg(replications=20, tau=0.3, error_dist="t4",
+               m_list=(5.0, 10.0, 15.0), h_list=(0.1, 0.5, 0.9),
+               base_seed=10**6)
+    res = run_rmse_experiment(cfg)
+    assert res.excluded == 0
+    from_exact, calls[0] = calls[0], 0
+    loss, kern = check_loss(cfg.tau), bump_kernel()
+    for j in range(cfg.replications):
+        s = generate_sample(cfg, j)
+        for m in cfg.m_list:
+            assert fit_smoothed(s, loss, kern, m).converged
+        for h in cfg.h_list:
+            assert fit_convolution_baseline(s, cfg.tau, h).converged
+    assert from_exact <= 0.75 * calls[0]
+
+
 def test_exclusion_gate_trips():
     def broken(config, j):
         raise SingularDesignError("boom")
@@ -305,6 +337,20 @@ def test_mad_records_carry_audit_fields():
         abs(rec["beta_m"]["5"] - rec["beta_q"]))
 
 
+def test_mad_result_carries_mean_sizes():
+    res = run_mad_experiment(_cfg(replications=5, m_list=(5.0, 15.0)))
+    for k in ("5", "15"):
+        assert res.mean_abs_beta_m[k] == pytest.approx(
+            np.mean([abs(r["beta_m"][k]) for r in res.records]), rel=1e-15)
+    assert res.mean_abs_beta_q == pytest.approx(
+        np.mean([abs(r["beta_q"]) for r in res.records]), rel=1e-15)
+    data = res.to_dict()
+    assert data["mean_abs_beta_m"] == res.mean_abs_beta_m
+    assert data["mean_abs_beta_q"] == res.mean_abs_beta_q
+    with pytest.raises(ValueError):
+        ExperimentResult(config=_cfg(), kind="mad", mean_abs_beta_q=np.nan)
+
+
 # ---------------------------------------------------------------------------
 # results and tables
 # ---------------------------------------------------------------------------
@@ -352,8 +398,13 @@ def test_mad_table_layout():
     r200 = run_mad_experiment(_cfg(replications=4, m_list=(5.0,), n=200))
     text = mad_table_csv([r100, r200])
     lines = text.strip().split("\n")
-    assert lines[0] == "dist,m,n=100,n=200"
-    cells = lines[1].split(",")
-    assert cells[0] == "normal01" and cells[1] == "5"
-    assert float(cells[2]) == pytest.approx(r100.mad_m["5"])
-    assert float(cells[3]) == pytest.approx(r200.mad_m["5"])
+    assert lines[0] == "statistic,dist,m,n=100,n=200"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [row[:3] for row in rows] == [["MAD", "normal01", "5"],
+                                         ["mean|beta_m|", "normal01", "5"],
+                                         ["mean|beta_Q|", "normal01", ""]]
+    for row, get in zip(rows, (lambda r: r.mad_m["5"],
+                               lambda r: r.mean_abs_beta_m["5"],
+                               lambda r: r.mean_abs_beta_q)):
+        assert float(row[3]) == pytest.approx(get(r100))
+        assert float(row[4]) == pytest.approx(get(r200))
