@@ -55,7 +55,3 @@ class CurvatureUndefinedError(MollikitError, ValueError):
 
 class ExperimentError(MollikitError, RuntimeError):
     """Too many replications failed for the experiment to be trusted."""
-
-
-class QuadratureError(MollikitError, RuntimeError):
-    """Panel quadrature failed to reach its accuracy target."""

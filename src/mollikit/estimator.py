@@ -129,8 +129,12 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
     if not full_rank:
         raise SingularDesignError("design matrix is rank deficient")
     if start is not None:
-        theta = np.array(start, dtype=float)
-        if theta.shape != (sample.d,) or not np.isfinite(theta).all():
+        try:
+            theta = np.array(start, dtype=float)
+        except (TypeError, ValueError):
+            theta = None                # not convertible to floats
+        if (theta is None or theta.shape != (sample.d,)
+                or not np.isfinite(theta).all()):
             raise InvalidStartError(f"start must be a finite vector of "
                                     f"{sample.d} entries, got {start!r}")
     smoother = smoothed_loss(loss, kernel, float(m))

@@ -20,7 +20,10 @@ kernel; on the bump kernel it still runs kink-split panel quadrature
 (`_value_quadrature`), which the tests also use as their independent
 reference.  `expected_derivative_gap` integrates the object's exact
 derivative, with quadrature only for its outer expectation, on the
-kernel's window at each kink.
+kernel's window at each kink, cut into panels at most 2 wide.  Both
+take the fixed rule of `mollikit.quadrature`, with no accuracy target:
+on each bump-value panel the integrand is a polynomial of degree at
+most 2 in v times phi(v), so its accuracy depends on neither u nor m.
 """
 from __future__ import annotations
 
@@ -35,12 +38,12 @@ from .kernels import (MollifierKernel, kernel_cdf, kernel_integrals,
 from .losses import LossSpec, loss_pieces, loss_subgradient, loss_value
 from .quadrature import integrate_rows
 
-_QUAD_TARGET = 1e-11
-_GAP_TARGET = 1e-10
 # |u| past which PartialMomentSmoother.value returns the loss itself
 _FAR = 1e150
 # rows per quadrature pass: its node arrays stay cache-sized, no page faults
 _CHUNK_ROWS = 64
+# most panels the derivative gap integrates over: 1.6e6 integrand points
+_GAP_PANELS = 1 << 13
 
 
 @lru_cache(maxsize=64)
@@ -59,7 +62,7 @@ def _base_breaks(kernel: MollifierKernel) -> tuple[float, ...]:
     """Fixed panel boundaries in kernel space; the ends bound the window
     that both quadratures, the bump value and the gap, integrate over.
     The bump window is [-0.99, 0.99]: beyond it phi < 3.4e-22 and each
-    side holds 6.5e-26 of the kernel's mass, far under any target.
+    side holds 6.5e-26 of the kernel's mass, far under double rounding.
     Gaussian mass beyond +/-8 is below 1e-15; the split at +/-2
     separates the bulk from the tails."""
     if kernel.kind == "bump":
@@ -91,8 +94,7 @@ def _quad_rows(s: PartialMomentSmoother, u: np.ndarray, integrand) -> np.ndarray
         def f(v, uc=uc):
             return integrand(uc + v / s.m, v)
 
-        out[start:start + _CHUNK_ROWS] = integrate_rows(
-            f, breaks, target=_QUAD_TARGET)
+        out[start:start + _CHUNK_ROWS] = integrate_rows(f, breaks)
     return out
 
 
@@ -110,7 +112,11 @@ def smooth_value(s: PartialMomentSmoother, u) -> float | np.ndarray:
     if s.kernel.kind == "gaussian":
         return s.value(u)
     arr = np.atleast_1d(np.asarray(u, dtype=float))
-    return _as_same(u, _value_quadrature(s, arr))
+    # past _FAR the value is the loss itself, as in s.value; at +/-inf
+    # the rule would meet inf * 0 on the zero-width panels
+    far = np.abs(arr) > _FAR
+    near = _value_quadrature(s, np.where(far, 0.0, arr))
+    return _as_same(u, np.where(far, loss_value(s.loss, arr), near))
 
 
 def smooth_derivative(s: PartialMomentSmoother, u) -> float | np.ndarray:
@@ -254,19 +260,31 @@ def expected_derivative_gap(loss: LossSpec, kernel: MollifierKernel, m: float,
                             density) -> float:
     """E|rho_m'(e) - psi(e)| for e distributed as `density`.
 
-    Integrates |smoothed derivative - subgradient| * pdf by panel
-    quadrature over the kernel's window at each kink, split at the kink.
-    Beyond the windows the integrand is exactly 0 on the bump (past
-    k +/- 1/m) and below 6e-16 * pdf per unit subgradient jump on the
-    Gaussian, so the density's shape never decides the panels.
+    Integrates |smoothed derivative - subgradient| * pdf by the fixed
+    panel rule over the kernel's window at each kink, split at the kink,
+    with every panel cut to at most 2 wide so that the density is
+    resolved at any scale.  Beyond the windows the integrand is exactly
+    0 on the bump (past k +/- 1/m) and below 6e-16 * pdf per unit
+    subgradient jump on the Gaussian, so the density's shape never
+    decides the panels.  A scale whose windows need more than
+    _GAP_PANELS panels raises InvalidScaleError: below m ~ 9.8e-4 on
+    the Gaussian kernel and 1.2e-4 on the bump, for one kink.
     """
     s = smoothed_loss(loss, kernel, m)
-    breaks = np.unique([k + b / m for k in loss.kinks
-                        for b in (0.0, *_base_breaks(kernel))])
+    edges = np.unique([k + b / m for k in loss.kinks
+                       for b in (0.0, *_base_breaks(kernel))])
+    cuts = np.ceil(np.diff(edges) / 2.0)
+    if cuts.sum() > _GAP_PANELS:
+        raise InvalidScaleError(
+            f"smoothing scale {m:g} is too small for the derivative gap: "
+            f"it needs {cuts.sum():.3g} panels, more than {_GAP_PANELS}")
+    breaks = np.concatenate(
+        [np.linspace(lo, hi, int(n), endpoint=False)
+         for lo, hi, n in zip(edges[:-1], edges[1:], cuts)] + [edges[-1:]])
 
     def row_f(v):
         u = v.ravel()
         gap = np.abs(s.derivative(u) - loss_subgradient(loss, u))
         return (gap * density.pdf(u)).reshape(v.shape)
 
-    return float(integrate_rows(row_f, breaks[None, :], target=_GAP_TARGET)[0])
+    return float(integrate_rows(row_f, breaks[None, :])[0])

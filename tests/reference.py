@@ -10,19 +10,20 @@ same integrals by kink-split panel quadrature over the kernel:
 on the library's own panel layout (`mollify._quad_rows`), so they share
 its windows and chunks but none of its closed forms.
 `kernel_derivative` is phi', which only the second-derivative reference
-needs, and `integrate` is one scalar integral on `integrate_rows`.
+needs, and `integrate` is one scalar integral by `scipy.integrate.quad`,
+adaptive and independent of the library's fixed rule.
 The t4 CDF and quantile are closed forms, independent of the scipy
 routines the library calls (scipy.stats.t calls the same ones).
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import quad
 
 from mollikit import mollify
 from mollikit.distributions import _as_same
 from mollikit.kernels import MollifierKernel, kernel_value
 from mollikit.losses import loss_subgradient
-from mollikit.quadrature import DEFAULT_TARGET, integrate_rows
 
 
 def kernel_derivative(kernel: MollifierKernel, v) -> float | np.ndarray:
@@ -37,20 +38,25 @@ def kernel_derivative(kernel: MollifierKernel, v) -> float | np.ndarray:
         return _as_same(v, np.where(phi > 0.0, phi * g, 0.0))
 
 
-def integrate(f, breakpoints, target=DEFAULT_TARGET, max_halvings=12):
+def integrate(f, breakpoints, target=1e-12):
     """Integrate a vectorized scalar function over [b_0, b_K].
 
     breakpoints is an increasing sequence; f maps an ndarray of points
-    to an ndarray of values.  Returns a float.
+    to an ndarray of values.  Each panel is one adaptive
+    `scipy.integrate.quad` call to the absolute `target`, or 1e-13
+    relative to the panel's value where rounding keeps the absolute one
+    out of reach.  Returns a float.
     """
-    breaks = np.asarray(breakpoints, dtype=float).reshape(1, -1)
-    if breaks.shape[1] < 2:
+    breaks = np.asarray(breakpoints, dtype=float)
+    if breaks.size < 2:
         raise ValueError("need at least two breakpoints")
 
-    def row_f(v):
-        return np.asarray(f(v.ravel()), dtype=float).reshape(v.shape)
+    def point_f(x):
+        return float(np.asarray(f(np.array([x])), dtype=float)[0])
 
-    return float(integrate_rows(row_f, breaks, target, max_halvings)[0])
+    return float(sum(quad(point_f, lo, hi, epsabs=target, epsrel=1e-13,
+                          limit=200)[0]
+                     for lo, hi in zip(breaks[:-1], breaks[1:])))
 
 
 def derivative_quadrature(s: mollify.PartialMomentSmoother,

@@ -162,6 +162,18 @@ def test_rate_huber_interior_quartering(tmp_path):
     assert float(rows[1][1]) / float(rows[2][1]) == pytest.approx(4.0, abs=0.05)
 
 
+def test_rate_far_grid(tmp_path):
+    # values near 1e5 carry rounding of order 1e-11, which no absolute
+    # quadrature target could absorb
+    out = tmp_path / "far.csv"
+    rc = cli.main(["rate", "--loss", "abs", "--kernel", "bump",
+                   "--m", "10", "--grid", "99999:100001:1", "--out", str(out)])
+    assert rc == 0
+    rows = _read_csv(out)
+    assert rows[0] == ["m", "sup_error"]
+    assert float(rows[1][1]) <= 1e-9
+
+
 def test_rate_empty_m_list(tmp_path):
     rc = cli.main(["rate", "--loss", "abs", "--kernel", "bump", "--m", "",
                    "--out", str(tmp_path / "x.csv")])
@@ -429,6 +441,14 @@ def test_diagnose_json(tmp_path):
     assert rates[0]["sup_error"] <= rates[0]["uniform_bound"] + 1e-9
     assert rates[1]["sup_error_ratio_to_previous"] == pytest.approx(2.0, abs=0.01)
     assert rates[1]["expected_derivative_gap"] < rates[0]["expected_derivative_gap"]
+
+
+def test_diagnose_too_small_scale_exits_2(tmp_path, capsys):
+    rc = cli.main(["diagnose", "--loss", "abs", "--kernel", "gaussian",
+                   "--m", "1e-6", "--grid", "-2:2:0.5",
+                   "--out", str(tmp_path / "d.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_diagnose_zero_sup_error_has_no_ratio(tmp_path):

@@ -273,14 +273,17 @@ def test_default_start_is_least_squares():
 
 def test_invalid_start_raises_after_the_design_check():
     s = _sim(11, 30)
-    for bad in ([1.0, 2.0], np.array([[1.0]]), 1.0, [np.nan], [np.inf]):
+    # the last four are not convertible to floats at all
+    for bad in ([1.0, 2.0], np.array([[1.0]]), 1.0, [np.nan], [np.inf],
+                "abc", [[1.0], [2.0, 3.0]], {"a": 1}, [1j]):
         with pytest.raises(InvalidStartError):
             fit_smoothed(s, check_loss(0.5), BUMP, 5.0, start=bad)
         with pytest.raises(InvalidStartError):
             fit_convolution_baseline(s, 0.5, 0.5, start=bad)
     singular = LinearSample(x=np.ones((10, 2)), y=np.arange(10.0))
-    with pytest.raises(SingularDesignError):
-        fit_smoothed(singular, check_loss(0.5), BUMP, 5.0, start=[np.nan])
+    for bad in ([np.nan], "abc"):
+        with pytest.raises(SingularDesignError):
+            fit_smoothed(singular, check_loss(0.5), BUMP, 5.0, start=bad)
 
 
 def test_fit_is_repeatable_across_calls_copies_and_smoothers(monkeypatch):

@@ -389,8 +389,8 @@ def test_bump_quadrature_matches_smoother_on_rate_grid(loss, m):
 
 @pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=lambda k: k.kind)
 def test_quadrature_row_independent_of_chunk(kern, monkeypatch):
-    # a chunk halves until all its rows agree, so a row's value depends on
-    # its chunk neighbours only within the quadrature target
+    # the rule is fixed, so a row's value does not depend on its chunk
+    # neighbours at all
     grid = np.linspace(-3.0, 3.0, 201)
     for loss in CATALOG:
         for m in (5.0, 80.0):
@@ -399,8 +399,24 @@ def test_quadrature_row_independent_of_chunk(kern, monkeypatch):
             with monkeypatch.context() as mp:
                 mp.setattr(mollify, "_CHUNK_ROWS", 1)
                 alone = [quad(s, grid) for quad in QUADRATURE]
-            for scale, a, b in zip((1.0, 1.0, m), chunked, alone):
-                assert np.max(np.abs(a - b)) <= scale * mollify._QUAD_TARGET
+            for a, b in zip(chunked, alone):
+                assert np.array_equal(a, b)
+
+
+def test_bump_value_far_from_kinks_matches_smoother():
+    # the rule is fixed, so a value of size |u| carries only its own
+    # rounding; an absolute accuracy target could not be met out here
+    far = np.array([1e5, -1e5, 1e6, -1e6, 1e8, -1e8])
+    for loss in CATALOG:
+        s = smoothed_loss(loss, BUMP, 10.0)
+        exact = s.value(far)
+        got = smooth_value(s, far)
+        assert np.all(np.abs(got - exact) <= 1e-14 * np.abs(exact))
+        assert all(smooth_value(s, u) == g for u, g in zip(far, got))
+        # past 1e150, and at +/-inf, both are the loss itself
+        beyond = np.array([1e200, -1e200, np.inf, -np.inf])
+        assert np.array_equal(smooth_value(s, beyond), s.value(beyond))
+        assert smooth_value(s, np.inf) == s.value(np.inf)
 
 
 @pytest.mark.parametrize("kern", [GAUSS, BUMP], ids=["gaussian", "bump"])
@@ -451,7 +467,7 @@ def test_bump_gap_matches_nested_quadrature(loss, m):
     nested = integrate(
         lambda u: np.abs(derivative_quadrature(ref, u)
                          - loss_subgradient(loss, u))
-        * density.pdf(u), breaks, target=1e-10)
+        * density.pdf(u), breaks, target=1e-13)
     gap = expected_derivative_gap(loss, BUMP, m, density)
     assert abs(gap - nested) <= 1e-13
 
@@ -503,6 +519,40 @@ def test_expected_derivative_gap_takes_any_density(loss, kern):
               for lo, hi in zip(edges[:-1], edges[1:]))
     gap = expected_derivative_gap(loss, kern, m, logistic)
     assert gap == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
+@pytest.mark.parametrize("loss", CATALOG, ids=lambda lo: lo.label)
+def test_expected_derivative_gap_at_a_wide_scale(loss, kern):
+    # at m = 0.01 the kernel's windows are hundreds wide, far wider than
+    # the density; the panels stay at most 2 wide, so the gap matches a
+    # whole-line reference also for a density centred mid-window
+    normal = standard_normal()
+    m = 0.01
+    s = smoothed_loss(loss, kern, m)
+    for shift in (0.0, 30.0):
+        density = ErrorDensity(name=f"normal({shift:g}, 1)",
+                               pdf=lambda u: normal.pdf(u - shift),
+                               cdf=lambda u: normal.cdf(u - shift))
+
+        def f(u):
+            return (abs(s.derivative(u) - loss_subgradient(loss, u))
+                    * density.pdf(u))
+
+        edges = [-np.inf, *sorted({*loss.kinks, shift}), np.inf]
+        ref = sum(quad(f, lo, hi, epsabs=1e-20, epsrel=1e-13, limit=200)[0]
+                  for lo, hi in zip(edges[:-1], edges[1:]))
+        gap = expected_derivative_gap(loss, kern, m, density)
+        assert gap == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
+def test_expected_derivative_gap_refuses_too_small_scale(kern):
+    # at m = 1e-6 the kernel's window spans millions; resolving the
+    # density across it would take more than _GAP_PANELS panels
+    for loss in CATALOG:
+        with pytest.raises(InvalidScaleError, match="too small"):
+            expected_derivative_gap(loss, kern, 1e-6, standard_normal())
 
 
 def test_expected_derivative_gap_huber_gaussian_tight():

@@ -1,5 +1,5 @@
 import mollikit
-from mollikit import estimator, kernels, mollify, quadrature
+from mollikit import errors, estimator, kernels, mollify, quadrature
 
 
 def test_public_names_resolve_once():
@@ -12,5 +12,7 @@ def test_public_names_resolve_once():
                         (mollify, "CLOSED_FORM"), (mollify, "QUADRATURE"),
                         (mollikit, "kernel_derivative"),
                         (kernels, "kernel_derivative"),
-                        (quadrature, "integrate")):
+                        (quadrature, "integrate"),
+                        (quadrature, "DEFAULT_TARGET"),
+                        (errors, "QuadratureError")):
         assert not hasattr(owner, gone)
