@@ -64,8 +64,6 @@ def _parse_m_list(spec: str) -> tuple[float, ...]:
         raise UsageError(f"bad m list {spec!r}") from exc
     if not values:
         raise UsageError("m list must not be empty")
-    if any(m <= 0 for m in values):
-        raise UsageError("every m must be positive")
     return values
 
 

@@ -55,3 +55,7 @@ class CurvatureUndefinedError(MollikitError, ValueError):
 
 class ExperimentError(MollikitError, RuntimeError):
     """Too many replications failed for the experiment to be trusted."""
+
+
+class InvalidGridError(MollikitError, ValueError):
+    """Evaluation grid must be nonempty and hold finite points only."""

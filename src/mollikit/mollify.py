@@ -1,7 +1,7 @@
 """Infinitely differentiable approximations of nonsmooth losses.
 
 A smoothed loss at scale m is the convolution of a catalog loss with
-the scaled kernel m*phi(m.), evaluated here as
+the scaled kernel m*phi(m.):
 
     value(u)  = int rho(u + v/m) phi(v) dv
     deriv(u)  = int psi(u + v/m) phi(v) dv
@@ -9,41 +9,48 @@ the scaled kernel m*phi(m.), evaluated here as
 
 (the second derivative comes from one integration by parts; the
 boundary terms vanish because every kernel derivative does).
-`PartialMomentSmoother` is the smoothed loss: it evaluates these
-integrals exactly, by summing them by parts over the loss pieces, so
-that one kernel CDF/partial-moment/density lookup per kink remains
-(no terms against the kernel totals: see the class).  `smoothed_loss`
-returns one such object per (loss, kernel, scale) in the process.
-`smooth_derivative` and `smooth_second_derivative` are the object's
-own methods on both kernels.  `smooth_value` is too on the Gaussian
-kernel; on the bump kernel it still runs kink-split panel quadrature
-(`_value_quadrature`), which the tests also use as their independent
-reference.  `expected_derivative_gap` integrates the object's exact
-derivative, with quadrature only for its outer expectation, on the
-kernel's window at each kink, cut into panels at most 2 wide.  Both
-take the fixed rule of `mollikit.quadrature`, with no accuracy target:
-on each bump-value panel the integrand is a polynomial of degree at
-most 2 in v times phi(v), so its accuracy depends on neither u nor m.
+`PartialMomentSmoother` is the smoothed loss, and `terms(u, orders)` is
+its one evaluator: it sums these integrals by parts over the loss
+pieces, so that the orders it returns share one kernel CDF /
+partial-moment lookup per kink and point, and read phi only where a
+subgradient jumps.  `value`, `derivative`, `second_derivative` and
+`curvature_pair` are one call to it each.  `smoothed_loss` returns one
+such object per (loss, kernel, scale) in the process.
+
+`integrate_rows` is the module's fixed panel quadrature.  It serves
+`expected_derivative_gap`, which integrates the smoother's derivative
+against an error density, and `smooth_value` on the bump kernel, which
+still runs kink-split quadrature (`_value_quadrature`); the tests use
+that quadrature as their independent reference.  On each bump-value
+panel the integrand is a polynomial of degree at most 2 in v times
+phi(v), so the rule's accuracy depends on neither u nor m.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
 from .distributions import _as_same
-from .errors import InvalidScaleError
-from .kernels import (MollifierKernel, kernel_cdf, kernel_integrals,
+from .errors import InvalidGridError, InvalidScaleError
+# kernel_cdf and kernel_partial_moment: perfbench/tracing.py binds them here
+from .kernels import (MollifierKernel, kernel_cdf, kernel_integrals,  # noqa: F401
                       kernel_partial_moment, kernel_value)
-from .losses import LossSpec, loss_pieces, loss_subgradient, loss_value
-from .quadrature import integrate_rows
+from .losses import (LossSpec, loss_curvature, loss_pieces, loss_subgradient,
+                     loss_value)
 
-# |u| past which PartialMomentSmoother.value returns the loss itself
+# |u| past which every order of PartialMomentSmoother.terms is its limit;
+# from _MIN_SCALE on, every kink's t = m*(k - u) is then past |t| = 1e10
 _FAR = 1e150
+_MIN_SCALE = 1e-140
 # rows per quadrature pass: its node arrays stay cache-sized, no page faults
 _CHUNK_ROWS = 64
 # most panels the derivative gap integrates over: 1.6e6 integrand points
 _GAP_PANELS = 1 << 13
+# integrate_rows: 50 Gauss-Legendre nodes on each of _PARTS parts of a panel
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(50)
+_PARTS = 4
 
 
 @lru_cache(maxsize=64)
@@ -57,6 +64,30 @@ def smoothed_loss(loss: LossSpec, kernel: MollifierKernel,
 # ---------------------------------------------------------------------------
 # quadrature path
 # ---------------------------------------------------------------------------
+
+def integrate_rows(f, breaks):
+    """Batched panel quadrature by one fixed rule.
+
+    breaks: (B, K) array, sorted along axis 1; kinks of the integrand
+    must be among them, and repeated values make zero-width panels,
+    which contribute nothing.  Every panel is cut into 4 equal parts
+    with a 50-node Gauss-Legendre rule on each: 200 nodes per panel,
+    exact on polynomials of degree below 100 per part.  There is no
+    accuracy target; the caller's panels decide the accuracy.  f maps a
+    (B, T) node array to integrand values of the same shape; row i of
+    the nodes always belongs to row i of breaks, so a row's value never
+    depends on the other rows.  Returns a (B,) array.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    lo, hi = breaks[:, :-1], breaks[:, 1:]
+    frac = np.arange(_PARTS) / _PARTS
+    half = 0.5 * ((hi - lo) / _PARTS)[..., None]             # (B, P, 1)
+    center = lo[..., None] + (hi - lo)[..., None] * frac + half  # (B, P, parts)
+    nodes = center[..., None] + half[..., None] * _GL_X      # (B, P, parts, N)
+    vals = f(nodes.reshape(nodes.shape[0], -1)).reshape(nodes.shape)
+    return np.einsum("bpsn,n,bps->b", vals, _GL_W,
+                     np.broadcast_to(half, vals.shape[:3]))
+
 
 def _base_breaks(kernel: MollifierKernel) -> tuple[float, ...]:
     """Fixed panel boundaries in kernel space; the ends bound the window
@@ -124,23 +155,32 @@ def smooth_derivative(s: PartialMomentSmoother, u) -> float | np.ndarray:
     return s.derivative(u)
 
 
-def smooth_second_derivative(s: PartialMomentSmoother, u) -> float | np.ndarray:
-    """Second derivative of the smoothed loss at u (nonnegative, by
-    convexity, up to rounding)."""
-    return s.second_derivative(u)
-
-
 def sup_error(s: PartialMomentSmoother, grid) -> float:
-    """max over the grid of |smoothed value - exact value|."""
+    """max over the grid of |smoothed value - exact value|, on a
+    nonempty grid of finite points."""
     pts = np.asarray(grid, dtype=float).ravel()
-    if pts.size == 0:
-        raise ValueError("grid must be nonempty")
+    if pts.size == 0 or not np.all(np.isfinite(pts)):
+        raise InvalidGridError("grid must be nonempty and finite")
     return float(np.max(np.abs(smooth_value(s, pts) - loss_value(s.loss, pts))))
 
 
 # ---------------------------------------------------------------------------
 # the smoothed loss: exact piecewise reduction
 # ---------------------------------------------------------------------------
+
+def check_scale(loss: LossSpec, m: float) -> None:
+    """Raise InvalidScaleError unless `loss` can be smoothed at scale m:
+    m finite and at least _MIN_SCALE (below it a point past |u| = _FAR
+    can still lie near a kink in kernel space, so the far rule would
+    not hold), and m times each subgradient jump finite (the second
+    derivative's weights)."""
+    if not _MIN_SCALE <= m < np.inf:
+        raise InvalidScaleError(f"smoothing scale must be finite and at "
+                                f"least {_MIN_SCALE:g}, got {m}")
+    if not all(isfinite(float(m) * mass) for _, mass in loss_curvature(loss).jumps):
+        raise InvalidScaleError(f"smoothing scale {m:g} is too large: m times "
+                                "the subgradient's jumps overflows")
+
 
 class PartialMomentSmoother:
     """The smoothed loss: a (loss, kernel, scale) triple whose own methods
@@ -163,6 +203,7 @@ class PartialMomentSmoother:
     subgradient jump at k_i).  Terms of q_K and s_K against the kernel
     totals M1, M2 vanish: every catalog loss is Lipschitz, so linear on
     its last piece (q_K = 0), and both kernels are symmetric (M1 = 0).
+    `terms` is the one evaluator; the other methods are calls to it.
     This is algebraically the same object as the quadrature path (the
     tests pin the two together) but costs one kernel lookup per kink
     and point, which is what makes Newton iterations over full residual
@@ -170,9 +211,7 @@ class PartialMomentSmoother:
     """
 
     def __init__(self, loss: LossSpec, kernel: MollifierKernel, m: float):
-        if not 0 < m < np.inf:
-            raise InvalidScaleError(
-                f"smoothing scale must be positive and finite, got {m}")
+        check_scale(loss, m)
         self.loss = loss
         self.kernel = kernel
         self.m = float(m)
@@ -184,72 +223,69 @@ class PartialMomentSmoother:
         self._d_psi = self.m * (self._d_slope + self._d_quad * kinks)
         self._has_jump = bool(np.any(self._d_psi))
         self._has_quad = bool(np.any(pieces[:, 4]))
+        # orders[0] reads the most kernel integrals (C, P1, P2): the value
+        # reads C, P1 and P2 on a quadratic piece, and each further order
+        # one table fewer
+        need = (3, 2, 1) if self._has_quad else (2, 1, 0)
+        self._reads = tuple((0, 1, 2)[:n] for n in need)
 
-    def value(self, u) -> float | np.ndarray:
+    def terms(self, u, orders: tuple[int, ...]) -> tuple:
+        """The derivatives of the given orders at u (0 is the value), from
+        one kernel lookup; orders is an increasing tuple drawn from
+        (0, 1, 2).  Each is a float for scalar u, else an array.  Past
+        |u| = _FAR every order is its limit, far from every kink: the
+        loss, its subgradient and 0."""
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         far = np.abs(arr) > _FAR
-        if np.count_nonzero(far):
-            # the sums meet inf - inf at +/-inf, and a quadratic piece's
-            # u^2 terms overflow past ~1.3e154; far from every kink the
-            # smoothed loss is the loss itself
-            near = self._value(np.where(far, 0.0, arr))
-            return _as_same(u, np.where(far, loss_value(self.loss, arr), near))
-        return _as_same(u, self._value(arr))
-
-    def _value(self, arr: np.ndarray) -> np.ndarray:
+        any_far = np.count_nonzero(far)
+        # the sums meet inf - inf at +/-inf, and a quadratic piece's u^2
+        # terms overflow past ~1.3e154: far points are evaluated at 0
+        x = np.where(far, 0.0, arr) if any_far else arr
         m = self.m
-        t = m * (self._kinks - arr)
-        if self._has_quad:
-            cdf, pm1, pm2 = kernel_integrals(self.kernel, t, (0, 1, 2))
-        else:
-            cdf, pm1 = kernel_integrals(self.kernel, t, (0, 1))
-        pm1 = pm1 / m
-        ucdf = arr * cdf
-        acc = (self._alpha + self._slope * arr
-               - self._d_alpha @ cdf - self._d_slope @ (ucdf + pm1))
-        if self._has_quad:
-            pm2 = pm2 / (m * m)
-            acc -= 0.5 * (self._d_quad @ (arr * (ucdf + 2.0 * pm1) + pm2))
-        return acc
+        with np.errstate(over="ignore"):         # t = +/-inf is the exact limit
+            t = m * (self._kinks - x)
+        ks = self._reads[orders[0]]
+        tab = kernel_integrals(self.kernel, t, ks) if ks else ()
+        out = []
+        for order in orders:
+            if order == 0:
+                cdf, pm1 = tab[0], tab[1] / m
+                ucdf = x * cdf
+                res = (self._alpha + self._slope * x
+                       - self._d_alpha @ cdf - self._d_slope @ (ucdf + pm1))
+                if self._has_quad:
+                    res -= 0.5 * (self._d_quad @ (x * (ucdf + 2.0 * pm1)
+                                                  + tab[2] / (m * m)))
+            elif order == 1:
+                res = self._slope - self._d_slope @ tab[0]
+                if self._has_quad:
+                    res -= self._d_quad @ (x * tab[0] + tab[1] / m)
+            else:
+                res = (self._d_psi @ kernel_value(self.kernel, t)
+                       if self._has_jump else 0.0)
+                if self._has_quad:
+                    res = res - self._d_quad @ tab[0]
+            if any_far:
+                limit = (loss_value(self.loss, arr) if order == 0 else
+                         loss_subgradient(self.loss, arr) if order == 1 else 0.0)
+                res = np.where(far, limit, res)
+            out.append(res)
+        if np.ndim(u) == 0:
+            out = [_as_same(u, r) for r in out]
+        return tuple(out)
+
+    def value(self, u) -> float | np.ndarray:
+        return self.terms(u, (0,))[0]
 
     def derivative(self, u) -> float | np.ndarray:
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        t = self.m * (self._kinks - arr)
-        return _as_same(u, self._gradient(arr, t, kernel_cdf(self.kernel, t)))
+        return self.terms(u, (1,))[0]
 
     def second_derivative(self, u) -> float | np.ndarray:
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        t = self.m * (self._kinks - arr)
-        cdf = kernel_cdf(self.kernel, t) if self._has_quad else None
-        return _as_same(u, self._curvature(t, cdf))
+        return self.terms(u, (2,))[0]
 
-    def curvature_pair(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """(derivative, second derivative) sharing one kernel lookup."""
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        t = self.m * (self._kinks - arr)
-        cdf = kernel_cdf(self.kernel, t)
-        return self._gradient(arr, t, cdf), self._curvature(t, cdf)
-
-    def _curvature(self, t: np.ndarray, cdf: np.ndarray | None) -> np.ndarray:
-        """The second derivative, given t = m*(kinks - arr) and C(t), which
-        only a quadratic piece reads; phi only where a subgradient jumps."""
-        curv = self._d_psi @ kernel_value(self.kernel, t) if self._has_jump else 0.0
-        return curv - self._d_quad @ cdf if self._has_quad else curv
-
-    def _gradient(self, arr: np.ndarray, t: np.ndarray,
-                  cdf: np.ndarray) -> np.ndarray:
-        """The derivative at arr, given t = m*(kinks - arr) and C(t)."""
-        grad = self._slope - self._d_slope @ cdf
-        if self._has_quad:
-            pm1 = kernel_partial_moment(self.kernel, t, 1) / self.m
-            infinite = np.isinf(arr)
-            if np.count_nonzero(infinite):
-                # u*C meets inf*0 there; the limit is the loss's slope
-                grad -= self._d_quad @ (np.where(infinite, 0.0, arr) * cdf + pm1)
-                grad = np.where(infinite, loss_subgradient(self.loss, arr), grad)
-            else:
-                grad -= self._d_quad @ (arr * cdf + pm1)
-        return grad
+    def curvature_pair(self, u) -> tuple:
+        """(derivative, second derivative) from one kernel lookup."""
+        return self.terms(u, (1, 2))
 
 
 # ---------------------------------------------------------------------------

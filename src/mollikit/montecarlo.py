@@ -26,7 +26,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from math import inf
 from numbers import Integral, Real
 from typing import Callable
 
@@ -39,6 +38,7 @@ from .estimator import (FitResult, LinearSample, fit_convolution_baseline,
                         fit_exact_scalar_quantile, fit_smoothed)
 from .kernels import parse_kernel
 from .losses import check_loss, expected_curvature
+from .mollify import check_scale
 from .quadratic import beta_Q, beta_gap, build_quadratic
 
 THETA0 = 1.0
@@ -117,10 +117,10 @@ class ExperimentConfig:
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
         parse_kernel(self.kernel)
-        if any(not 0.0 < m < inf for m in self.m_list):
-            raise ValueError("every m must be positive and finite")
         if any(not 0.0 < h < 1.0 for h in self.h_list):
             raise ValueError("every h must lie in (0, 1)")
+        for m in (*self.m_list, *(1.0 / h for h in self.h_list)):
+            check_scale(check_loss(self.tau), m)     # the smoothers' own rule
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -15,8 +15,8 @@ from mollikit.kernels import bump_kernel, gaussian_kernel, kernel_abs_moment
 from mollikit.losses import (absolute_loss, check_loss, huber_loss, loss_value,
                              relu_loss)
 from mollikit.mollify import (_value_quadrature, expected_derivative_gap,
-                              smooth_derivative, smooth_second_derivative,
-                              smooth_value, smoothed_loss, sup_error)
+                              smooth_derivative, smooth_value, smoothed_loss,
+                              sup_error)
 from mollikit.montecarlo import (ExperimentConfig, generate_sample,
                                  run_mad_experiment, run_rmse_experiment)
 from mollikit.quadratic import (approximation_gap, beta_Q, build_quadratic,
@@ -160,7 +160,7 @@ def test_criterion_06_derivative_chain():
                                                1e-3)
             fd2 = (smooth_derivative(s, u + h)
                    - smooth_derivative(s, u - h)) / (2 * h)
-            d2 = smooth_second_derivative(s, u)
+            d2 = s.second_derivative(u)
             r2 = np.abs(fd2 - d2) / np.maximum(np.maximum(np.abs(d2), np.abs(fd2)),
                                                1e-2 * m)
             worst1 = max(worst1, float(np.max(r1)))

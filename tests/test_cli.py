@@ -180,6 +180,15 @@ def test_rate_empty_m_list(tmp_path):
     assert rc == 2
 
 
+def test_rate_refuses_a_scale_the_smoother_refuses(tmp_path, capsys):
+    for loss, m in (("check:0.3", "1e-150"), ("abs", "1e308")):
+        rc = cli.main(["rate", "--loss", loss, "--kernel", "bump", "--m", f"5,{m}",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 2, (loss, m)
+        assert "smoothing scale" in capsys.readouterr().err, (loss, m)
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate / mad
 # ---------------------------------------------------------------------------
@@ -376,6 +385,10 @@ def test_bad_list_config_runs_nothing(tmp_path, monkeypatch, capsys, command):
         "not an object": ([good, 5], "cell 1: "),
         "bad second cell": ([good, {**good, "tau": 1.5}], "cell 1: tau"),
         "unknown key": ([good, good, {**good, "bogus": 1}], "cell 2: "),
+        "scale too small": ([good, {**good, "m_list": [1e-150]}],
+                            "cell 1: smoothing scale"),
+        "1/h overflows": ([good, {**good, "h_list": [5e-324]}],
+                          "cell 1: smoothing scale"),
     }
     for case, (cells, message) in cases.items():
         cfg = _write_cells(tmp_path / "cells.json", cells)

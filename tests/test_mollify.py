@@ -8,14 +8,14 @@ from scipy.special import expit
 
 from mollikit import mollify
 from mollikit.distributions import ErrorDensity, standard_normal
-from mollikit.errors import InvalidScaleError
+from mollikit.errors import InvalidGridError, InvalidScaleError
 from mollikit.kernels import (bump_kernel, gaussian_kernel, kernel_abs_moment,
                               kernel_cdf, kernel_value)
 from mollikit.losses import (absolute_loss, check_loss, huber_loss, loss_subgradient,
                              loss_value, relu_loss)
 from mollikit.mollify import (PartialMomentSmoother, expected_derivative_gap,
-                              smooth_derivative, smooth_second_derivative,
-                              smooth_value, smoothed_loss, sup_error)
+                              smooth_derivative, smooth_value, smoothed_loss,
+                              sup_error)
 
 from reference import derivative_quadrature, integrate, second_quadrature
 
@@ -26,7 +26,7 @@ MU2_BUMP = 0.1581136362637982
 INV_SQRT_2PI = 0.3989422804014327
 
 CATALOG = [absolute_loss(), check_loss(0.3), huber_loss(1.0), relu_loss()]
-PUBLIC = (smooth_value, smooth_derivative, smooth_second_derivative)
+PUBLIC = (smooth_value, smooth_derivative, PartialMomentSmoother.second_derivative)
 # the kink-split quadrature reference, on 1-d arrays
 QUADRATURE = (mollify._value_quadrature, derivative_quadrature,
               second_quadrature)
@@ -43,11 +43,16 @@ def test_scale_validation():
         smoothed_loss(absolute_loss(), BUMP, -3.0)
     with pytest.raises(InvalidScaleError):
         PartialMomentSmoother(absolute_loss(), BUMP, 0.0)
-    for m in (np.inf, np.nan):
+    # below 1e-140, |u| = 1e150 would not be far from a kink in kernel
+    # space, where every order takes its limit
+    for m in (np.inf, np.nan, 1e-160):
         with pytest.raises(InvalidScaleError):
             PartialMomentSmoother(absolute_loss(), GAUSS, m)
         with pytest.raises(InvalidScaleError):
             smoothed_loss(absolute_loss(), BUMP, m)
+        with pytest.raises(InvalidScaleError):
+            mollify.check_scale(check_loss(0.3), m)
+    mollify.check_scale(check_loss(0.3), 1e-140)
 
 
 def test_closed_form_is_the_object_itself():
@@ -58,11 +63,9 @@ def test_closed_form_is_the_object_itself():
     for loss in CATALOG:
         for kern in (GAUSS, BUMP):
             s = smoothed_loss(loss, kern, 6.0)
-            for fn, own in ((smooth_derivative, s.derivative),
-                            (smooth_second_derivative, s.second_derivative)):
-                assert np.array_equal(fn(s, grid), own(grid))
-                got = fn(s, 0.37)
-                assert isinstance(got, float) and got == own(0.37)
+            assert np.array_equal(smooth_derivative(s, grid), s.derivative(grid))
+            got = smooth_derivative(s, 0.37)
+            assert isinstance(got, float) and got == s.derivative(0.37)
         s = smoothed_loss(loss, GAUSS, 6.0)
         assert np.array_equal(smooth_value(s, grid), s.value(grid))
         got = smooth_value(s, 0.37)
@@ -83,7 +86,7 @@ def test_bump_derivatives_never_reach_quadrature(monkeypatch):
     grid = np.linspace(-2.0, 2.0, 81)
     for loss in CATALOG:
         s = smoothed_loss(loss, BUMP, 6.0)
-        for fn in (smooth_derivative, smooth_second_derivative):
+        for fn in (smooth_derivative, PartialMomentSmoother.second_derivative):
             assert np.all(np.isfinite(fn(s, grid)))
             assert np.isfinite(fn(s, 0.37))
     # the patch bites: the bump value still takes quadrature
@@ -175,7 +178,7 @@ def test_derivative_relu_bump_flat_region():
 
 def test_second_derivative_check_gaussian():
     s = smoothed_loss(check_loss(0.3), GAUSS, 4.0)
-    assert smooth_second_derivative(s, 0.0) == pytest.approx(
+    assert s.second_derivative(0.0) == pytest.approx(
         4.0 * INV_SQRT_2PI, rel=1e-10)
     assert second_quadrature(s, np.array([0.0]))[0] == pytest.approx(
         4.0 * INV_SQRT_2PI, abs=1e-9)
@@ -183,7 +186,7 @@ def test_second_derivative_check_gaussian():
 
 def test_second_derivative_absolute_bump_outside_window():
     s = smoothed_loss(absolute_loss(), BUMP, 10.0)
-    assert smooth_second_derivative(s, 2.0) == pytest.approx(0.0, abs=1e-10)
+    assert s.second_derivative(2.0) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_second_derivative_nonnegative():
@@ -191,7 +194,7 @@ def test_second_derivative_nonnegative():
     for loss in CATALOG:
         for kern in (BUMP, GAUSS):
             s = smoothed_loss(loss, kern, 5.0)
-            assert np.all(smooth_second_derivative(s, u) >= -1e-10)
+            assert np.all(s.second_derivative(u) >= -1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,7 @@ def test_derivative_chain(loss, kern):
     assert np.all(np.abs(fd1 - d1) <= 1e-4 * np.maximum(np.abs(d1), np.abs(fd1))
                   + 1e-7)
     fd2 = (smooth_derivative(s, u + h) - smooth_derivative(s, u - h)) / (2 * h)
-    d2 = smooth_second_derivative(s, u)
+    d2 = s.second_derivative(u)
     assert np.all(np.abs(fd2 - d2) <= 1e-3 * np.maximum(np.abs(d2), np.abs(fd2))
                   + 1e-5 * m)
 
@@ -277,6 +280,19 @@ def test_sup_error_empty_grid():
     s = smoothed_loss(absolute_loss(), BUMP, 10.0)
     with pytest.raises(ValueError):
         sup_error(s, [])
+    with pytest.raises(InvalidGridError, match="nonempty"):
+        sup_error(s, np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=lambda k: k.kind)
+def test_sup_error_refuses_non_finite_grid(kern):
+    # |rho_m - rho| at +/-inf is inf - inf; a typed error, not NaN
+    s = smoothed_loss(absolute_loss(), kern, 10.0)
+    for bad in ([0.0, np.inf], [-np.inf, 0.0], [np.nan], [0.5, np.nan, 1.0]):
+        with pytest.raises(InvalidGridError, match="finite"):
+            sup_error(s, bad)
+        with pytest.raises(ValueError):
+            sup_error(s, bad)
 
 
 def test_sup_error_huber_interior():
@@ -362,9 +378,19 @@ def test_piecewise_reduction_matches_quadrature(loss, kern):
                              - derivative_quadrature(red, grid))) < 1e-10
         assert np.max(np.abs(red.second_derivative(grid)
                              - second_quadrature(red, grid))) < 1e-9
-        d, c = red.curvature_pair(grid)
-        assert np.array_equal(d, red.derivative(grid))
-        assert np.array_equal(c, red.second_derivative(grid))
+        # every method is the one evaluator, whose orders share one
+        # kernel lookup: the same bits, at the limits and at NaN too
+        odd = np.concatenate([grid, [np.inf, -np.inf, 1e151, -1e151, np.nan]])
+        singles = (red.value(odd), red.derivative(odd), red.second_derivative(odd))
+        for got, want in zip(red.terms(odd, (0, 1, 2)), singles):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(red.curvature_pair(odd), singles[1:]):
+            assert got.tobytes() == want.tobytes()
+        for u in (0.37, np.inf, -1e151, np.nan):
+            got = red.terms(u, (0, 1, 2))
+            want = (red.value(u), red.derivative(u), red.second_derivative(u))
+            assert all(isinstance(g, float) for g in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_bump_window_drops_no_mass():
@@ -449,6 +475,40 @@ def test_smoother_far_arguments_are_quiet(kern):
                 assert np.array_equal(got[[1, 4]], fn(mixed[[1, 4]]))
                 assert np.array_equal(got[[0, 2]], limit(loss, mixed[[0, 2]]))
                 assert np.isnan(got[3])
+
+
+@pytest.mark.parametrize("kern", [GAUSS, BUMP], ids=["gaussian", "bump"])
+def test_huge_scale_is_quiet(kern):
+    # at m = 1e300, m*(k - u) overflows to +/-inf already at |u| ~ 1e10;
+    # that is the exact limit, so the orders are the loss's own, quietly
+    u = np.array([1e10, -1e10, 1e100, -1e100, 1.5, -2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loss in CATALOG:
+            s = PartialMomentSmoother(loss, kern, 1e300)
+            value, grad, curv = s.terms(u, (0, 1, 2))
+            assert np.allclose(value, loss_value(loss, u), rtol=1e-15, atol=0.0)
+            assert np.array_equal(grad, loss_subgradient(loss, u))
+            assert np.array_equal(curv, np.zeros(u.shape))
+            assert np.array_equal(s.value(u), value)
+            assert np.array_equal(s.curvature_pair(u)[1], curv)
+
+
+def test_scale_overflowing_the_jumps_is_refused():
+    # at m = 1e308 the absolute loss's curvature mass m*2 overflows, and
+    # inf * phi would be NaN where phi is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kern in (GAUSS, BUMP):
+            with pytest.raises(InvalidScaleError, match="too large"):
+                PartialMomentSmoother(absolute_loss(), kern, 1e308)
+            with pytest.raises(InvalidScaleError, match="too large"):
+                mollify.check_scale(absolute_loss(), 1e308)
+            # check:0.3 jumps by 1 and Huber not at all: both finite
+            s = PartialMomentSmoother(check_loss(0.3), kern, 1e308)
+            assert s.second_derivative(1.0) == 0.0
+            s = PartialMomentSmoother(huber_loss(1.0), kern, 1e308)
+            assert s.terms(np.array([0.5, 2.0]), (2,))[0].tolist() == [1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import t as student_t
 
-from mollikit.errors import ExperimentError, SingularDesignError
+from mollikit.errors import (ExperimentError, InvalidScaleError,
+                             SingularDesignError)
 from mollikit.estimator import (LinearSample, fit_convolution_baseline,
                                 fit_smoothed)
 from mollikit.kernels import bump_kernel
@@ -82,6 +83,12 @@ def test_config_validation():
                       (dict(base_seed=-1), "base_seed")):
         with pytest.raises(ValueError, match=name):
             _cfg(**bad)
+    # the smoothers' own scale rule, before any replication runs: m below
+    # 1e-140, and h whose scale 1/h overflows
+    for bad in (dict(m_list=(5.0, 1e-150)), dict(h_list=(0.5, 5e-324))):
+        with pytest.raises(InvalidScaleError):
+            _cfg(**bad)
+    assert _cfg(m_list=(1e-140, 1e300), h_list=(1e-300,)).m_list == (1e-140, 1e300)
 
 
 def test_config_json_round_trip(tmp_path):

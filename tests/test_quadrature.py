@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mollikit.quadrature import integrate_rows
+from mollikit.mollify import integrate_rows
 
 
 def _one(f, breaks):
