@@ -9,12 +9,13 @@ fit with a Gaussian kernel at scale 1/h.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import isfinite
 
 import numpy as np
 
 from .errors import (DegenerateRegressorError, IncompleteSampleError,
-                     InvalidBandwidthError, InvalidStartError,
+                     InvalidBandwidthError, InvalidScaleError, InvalidStartError,
                      NonCoerciveLossError, NonFiniteSampleError,
                      SingularDesignError, UnsupportedDimensionError)
 from .kernels import MollifierKernel, gaussian_kernel
@@ -96,6 +97,12 @@ class LinearSample:
         theta.setflags(write=False)
         return theta, not (sv[-1] <= sv[0] * 1e-12 or sv[-1] == 0.0)
 
+    @cached_property
+    def _max_x2(self) -> float:
+        """max x^2 over the design, as a Python float (inf on overflow)."""
+        top = float(np.abs(self.x).max())
+        return top * top
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -106,6 +113,24 @@ class FitResult:
     gradient_norm: float
     backtracks: int            # trial steps the Armijo test rejected
     fallbacks: int             # passes that fell back to steepest descent
+
+
+@lru_cache(maxsize=1)
+def _dgesv():
+    # scipy.linalg is slow to import, so it loads on the first solve;
+    # the cache spares every later solve the import statement
+    from scipy.linalg.lapack import dgesv
+    return dgesv
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b, by LAPACK's dgesv: np.linalg.solve's answer bit
+    for bit, without its wrapper's overhead.  Raises LinAlgError when a
+    is singular."""
+    _, _, x, info = _dgesv()(a, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
 
 
 def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
@@ -120,7 +145,8 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
     plateaus; Armijo backtracking keeps every step a descent step.
     Converged means the gradient's max norm fell below _GRAD_TOL * n
     within _MAX_ITER Newton steps.  Non-convergence is reported in the
-    result, not raised.
+    result, not raised.  A scale at which the Hessian could overflow,
+    n * max x^2 * max |rho_m''| not finite, raises InvalidScaleError.
     """
     if not loss.coercive:
         raise NonCoerciveLossError(f"{loss.label} has no coercive objective")
@@ -139,6 +165,10 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
                                     f"{sample.d} entries, got {start!r}")
     smoother = smoothed_loss(loss, kernel, float(m))
     n, d = x.shape
+    # every Hessian entry is at most n * max x^2 * max |rho_m''|
+    if not isfinite(n * sample._max_x2 * smoother.curvature_bound):
+        raise InvalidScaleError(f"smoothing scale {m:g} is too large for this "
+                                "design: the Hessian's bound overflows")
     ridge = _RIDGE * np.eye(d)
 
     resid = y - x @ theta
@@ -160,7 +190,7 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
             break
         it += 1
         hess = x.T @ (x * weights[:, None]) + ridge
-        step = np.linalg.solve(hess, -grad)
+        step = _solve(hess, -grad)
         slope = float(grad @ step)
         if slope >= 0.0:           # numerical breakdown: fall back to steepest descent
             step = -grad

@@ -14,8 +14,11 @@ its one evaluator: it sums these integrals by parts over the loss
 pieces, so that the orders it returns share one kernel CDF /
 partial-moment lookup per kink and point, and read phi only where a
 subgradient jumps.  `value`, `derivative`, `second_derivative` and
-`curvature_pair` are one call to it each.  `smoothed_loss` returns one
-such object per (loss, kernel, scale) in the process.
+`curvature_pair` are one call to it each.  Each smoother decides once
+whether its kink distances t = m*(k - u) can overflow (only for m above
+about 1e158), so that ordinary scales never switch numpy's error state.
+`smoothed_loss` returns one such object per (loss, kernel, scale) in the
+process.
 
 `integrate_rows` is the module's fixed panel quadrature.  It serves
 `expected_derivative_gap`, which integrates the smoother's derivative
@@ -228,6 +231,14 @@ class PartialMomentSmoother:
         # one table fewer
         need = (3, 2, 1) if self._has_quad else (2, 1, 0)
         self._reads = tuple((0, 1, 2)[:n] for n in need)
+        # t = m*(k - u) can overflow for |u| <= _FAR only at m above about
+        # 1e158, and only then does `terms` silence numpy's overflow
+        # warning; Python floats overflow to inf quietly
+        self._t_overflows = not isfinite(self.m * (max(map(abs, loss.kinks)) + _FAR))
+        # bounds |second derivative|: |dq_i C| <= |dq_i| and phi <= phi(0)
+        self.curvature_bound = (sum(map(abs, self._d_psi.tolist()))
+                                * kernel_value(kernel, 0.0)
+                                + sum(map(abs, self._d_quad.tolist())))
 
     def terms(self, u, orders: tuple[int, ...]) -> tuple:
         """The derivatives of the given orders at u (0 is the value), from
@@ -235,14 +246,25 @@ class PartialMomentSmoother:
         (0, 1, 2).  Each is a float for scalar u, else an array.  Past
         |u| = _FAR every order is its limit, far from every kink: the
         loss, its subgradient and 0."""
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        far = np.abs(arr) > _FAR
-        any_far = np.count_nonzero(far)
-        # the sums meet inf - inf at +/-inf, and a quadratic piece's u^2
-        # terms overflow past ~1.3e154: far points are evaluated at 0
-        x = np.where(far, 0.0, arr) if any_far else arr
+        arr = np.asarray(u, dtype=float)
+        scalar = arr.ndim == 0
+        if scalar:
+            arr = arr.reshape(1)
+        # one reduction finds whether any point is far or NaN; the mask
+        # below leaves a NaN near, evaluated as an ordinary point
+        any_far = not np.abs(arr).max(initial=0.0) <= _FAR
+        if any_far:
+            far = np.abs(arr) > _FAR
+            # the sums meet inf - inf at +/-inf, and a quadratic piece's
+            # u^2 terms overflow past ~1.3e154: far points are evaluated at 0
+            x = np.where(far, 0.0, arr)
+        else:
+            x = arr
         m = self.m
-        with np.errstate(over="ignore"):         # t = +/-inf is the exact limit
+        if self._t_overflows:
+            with np.errstate(over="ignore"):     # t = +/-inf is the exact limit
+                t = m * (self._kinks - x)
+        else:
             t = m * (self._kinks - x)
         ks = self._reads[orders[0]]
         tab = kernel_integrals(self.kernel, t, ks) if ks else ()
@@ -270,7 +292,7 @@ class PartialMomentSmoother:
                          loss_subgradient(self.loss, arr) if order == 1 else 0.0)
                 res = np.where(far, limit, res)
             out.append(res)
-        if np.ndim(u) == 0:
+        if scalar:
             out = [_as_same(u, r) for r in out]
         return tuple(out)
 

@@ -510,10 +510,11 @@ def test_every_subcommand_runs(tmp_path):
 
 # slow scipy packages that importing the CLI must not load: only the d > 1
 # probe directions of the quadratic surrogate need scipy.stats, the bump
-# tables are cubic Hermite lookups in plain numpy, and only the tests and
-# the benchmark's checks integrate with scipy.integrate
+# tables are cubic Hermite lookups in plain numpy, only the tests and the
+# benchmark's checks integrate with scipy.integrate, and the Newton step
+# loads LAPACK from scipy.linalg on its first solve
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.interpolate",
-                                    "scipy.integrate"])
+                                    "scipy.integrate", "scipy.linalg"])
 def test_cli_import_leaves_scipy_unloaded(module):
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import mollikit.cli; "

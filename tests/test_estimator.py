@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -330,11 +332,37 @@ def test_backtracks_count_rejected_trials(monkeypatch):
 def test_fallbacks_count_steepest_descent_passes(monkeypatch):
     # a solve that returns an ascent direction forces every pass that
     # takes a step onto steepest descent
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: -b)
+    monkeypatch.setattr(estimator, "_solve", lambda a, b: -b)
     monkeypatch.setattr(estimator, "_MAX_ITER", 5)
     res = fit_smoothed(_sim(9, 60), check_loss(0.5), GAUSS, 2.0)
     assert res.iterations == 5
     assert res.fallbacks == res.iterations
+
+
+def test_solve_is_numpy_solve_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for d in (1, 2, 3, 4):
+        for _ in range(200):
+            a = rng.standard_normal((50, d))
+            hess = a.T @ (a * rng.random(50)[:, None])
+            b = rng.standard_normal(d)
+            assert estimator._solve(hess, b).tobytes() == np.linalg.solve(hess, b).tobytes()
+    with pytest.raises(np.linalg.LinAlgError):
+        estimator._solve(np.array([[0.0]]), np.array([1.0]))
+
+
+def test_scale_overflowing_the_hessian_is_refused():
+    # at m = 1e308 the check loss's curvature m*phi(0) times n * max x^2
+    # overflows, so the Hessian would be inf
+    s = _sim(7, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kern in (BUMP, GAUSS):
+            with pytest.raises(InvalidScaleError, match="Hessian"):
+                fit_smoothed(s, check_loss(0.3), kern, 1e308)
+            # at m = 1e300 the bound holds: the fit runs, quietly
+            assert isinstance(fit_smoothed(s, check_loss(0.3), kern, 1e300),
+                              FitResult)
 
 
 def test_fit_smoothed_non_convergence_is_reported_not_raised(monkeypatch):

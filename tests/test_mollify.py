@@ -494,6 +494,23 @@ def test_huge_scale_is_quiet(kern):
             assert np.array_equal(s.curvature_pair(u)[1], curv)
 
 
+@pytest.mark.parametrize("kern", [GAUSS, BUMP], ids=["gaussian", "bump"])
+def test_kink_distance_overflow_threshold(kern):
+    # t = m*(k - u) for |u| <= 1e150 stays finite at m = 1e157 and
+    # overflows at m = 1e159, where only the overflow is quiet; both
+    # give the loss's own limits
+    u = np.array([1e150, -1e150, 9.9e149, -9.9e149])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (1e157, 1e159):
+            for loss in CATALOG:
+                s = PartialMomentSmoother(loss, kern, m)
+                value, grad, curv = s.terms(u, (0, 1, 2))
+                assert np.allclose(value, loss_value(loss, u), rtol=1e-15, atol=0.0)
+                assert np.array_equal(grad, loss_subgradient(loss, u))
+                assert np.array_equal(curv, np.zeros(u.shape))
+
+
 def test_scale_overflowing_the_jumps_is_refused():
     # at m = 1e308 the absolute loss's curvature mass m*2 overflows, and
     # inf * phi would be NaN where phi is 0

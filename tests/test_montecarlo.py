@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import t as student_t
 
+from mollikit import montecarlo
 from mollikit.errors import (ExperimentError, InvalidScaleError,
                              SingularDesignError)
 from mollikit.estimator import (LinearSample, fit_convolution_baseline,
@@ -267,6 +269,27 @@ def test_exclusion_gate_trips():
 
     with pytest.raises(ExperimentError):
         run_rmse_experiment(_cfg(replications=10), generator=broken)
+
+
+def test_scale_overflowing_the_hessian_fails_every_replication(monkeypatch):
+    # m = 1e308 passes the config's scale rule on the check loss (m times
+    # its jump is finite), but every fit refuses it
+    records, record = [], montecarlo._record
+
+    def spy(*args):
+        records.append(record(*args))
+        return records[-1]
+
+    monkeypatch.setattr(montecarlo, "_record", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExperimentError):
+            run_rmse_experiment(_cfg(replications=4, tau=0.3, m_list=(1e308,)))
+    assert len(records) == 4
+    for rec in records:
+        assert rec["failed"]
+        assert rec["error"].startswith("InvalidScaleError: smoothing scale 1e+308")
+        assert "Hessian" in rec["error"]
 
 
 def test_exclusion_audit_below_gate():
