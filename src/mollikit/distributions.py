@@ -3,7 +3,8 @@
 The normal quantile is scipy's `ndtri`; the t distribution with 4
 degrees of freedom takes its CDF and quantile from scipy's `stdtr` and
 `stdtrit`.  A density is only its name, pdf and CDF: quadrature
-against it chooses its own panels.
+against it chooses its own panels.  Each pdf caps |x| past the point
+where it rounds to 0, so x*x cannot overflow.
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 _SQRT2PI = sqrt(2.0 * pi)
+_NORMAL_CAP = 40.0     # the normal pdf rounds to 0 past |x| ~ 38.58
+_T4_CAP = 1e100        # the t4 pdf rounds to 0 past |x| ~ 8.5e64
 
 
 @dataclass(frozen=True)
@@ -32,10 +35,9 @@ def _as_same(template, arr):
 
 
 def normal_pdf(x):
-    """Standard normal density (0 where x*x overflows, |x| > ~1.3e154)."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        return _as_same(x, np.exp(-0.5 * x * x) / _SQRT2PI)
+    """Standard normal density; NaN at NaN."""
+    a = np.minimum(np.abs(np.asarray(x, dtype=float)), _NORMAL_CAP)
+    return _as_same(x, np.exp(-0.5 * a * a) / _SQRT2PI)
 
 
 def normal_quantile(p) -> float | np.ndarray:
@@ -47,8 +49,8 @@ def normal_quantile(p) -> float | np.ndarray:
 
 
 def t4_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return _as_same(x, 0.375 * (1.0 + 0.25 * x * x) ** -2.5)
+    a = np.minimum(np.abs(np.asarray(x, dtype=float)), _T4_CAP)
+    return _as_same(x, 0.375 * (1.0 + 0.25 * a * a) ** -2.5)
 
 
 def t4_cdf(x):

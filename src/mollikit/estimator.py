@@ -95,7 +95,7 @@ class LinearSample:
         solve's singular values double as the design check."""
         theta, _, _, sv = np.linalg.lstsq(self.x, self.y, rcond=None)
         theta.setflags(write=False)
-        return theta, not (sv[-1] <= sv[0] * 1e-12 or sv[-1] == 0.0)
+        return theta, not sv[-1] <= sv[0] * 1e-12
 
     @cached_property
     def _max_x2(self) -> float:
@@ -242,11 +242,9 @@ def fit_exact_scalar_quantile(sample: LinearSample, tau: float) -> float:
     # their right slope, the rest their left slope
     tail_left = np.concatenate([np.cumsum(left[::-1])[::-1], [0.0]])
     dplus = np.cumsum(right) + tail_left[1:]
-    # ties: evaluate the derivative only at the last of each equal run.
-    # D+ at the last breakpoint is the sum of the right slopes, so >= 0:
-    # it is always a candidate, and the first candidate >= 0 is the answer
-    unique_last = np.nonzero(np.append(np.diff(b) > 0, True))[0]
-    return float(b[unique_last[np.argmax(dplus[unique_last] >= 0.0)]])
+    # rounded running sums of one-signed terms stay monotone, so dplus is
+    # nondecreasing and ends >= 0: its first entry >= 0 is in the answer's run
+    return float(b[np.argmax(dplus >= 0.0)])
 
 
 def fit_convolution_baseline(sample: LinearSample, tau: float, h: float, *,

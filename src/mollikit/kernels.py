@@ -18,7 +18,7 @@ from math import sqrt, pi
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import _as_same, normal_pdf
+from .distributions import _NORMAL_CAP, _as_same, normal_pdf
 
 GAUSSIAN = "gaussian"
 BUMP = "bump"
@@ -197,9 +197,9 @@ def kernel_integrals(kernel: MollifierKernel, t, ks) -> list[np.ndarray]:
             outs.append(cdf)
         elif k == 1:
             outs.append(-phi)
-        else:
-            with np.errstate(invalid="ignore"):   # t*phi is inf*0 at +/-inf
-                outs.append(cdf - np.where(np.isinf(x), 0.0, x * phi))
+        else:                                 # phi is 0 past the cap
+            cap = np.minimum(np.maximum(x, -_NORMAL_CAP), _NORMAL_CAP)
+            outs.append(cdf - cap * phi)
     return outs
 
 

@@ -100,9 +100,8 @@ def _probe_directions(d: int, count: int) -> np.ndarray:
     sampler = qmc.Halton(d=d, scramble=False)
     pts = sampler.random(count)
     z = normal_quantile(np.clip(pts, 1e-12, 1 - 1e-12).ravel()).reshape(pts.shape)
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return z / norms
+    # no row is 0: a base-3 radical inverse is never 1/2
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def probe_ball(d: int, radius: float, probes: int) -> np.ndarray:

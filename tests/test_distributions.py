@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -93,3 +96,37 @@ def test_densities_have_unit_mass():
 
 def test_normal_pdf_value():
     assert normal_pdf(0.0) == pytest.approx(0.3989422804014327, rel=1e-13)
+
+
+# |t| on both sides of the normal pdf's underflow point (~38.58) and of
+# t4's (~8.5e64), at and past each cap, and past where t*t overflows
+CAP_EDGES = [38.5, 38.7, 40.0, 41.0, 1e64, 1e100, 1e154, 1.4e154, 1e300,
+             math.inf]
+
+
+def _normal_closed(t):
+    return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+
+def _t4_closed(t):
+    return 0.375 * (1.0 + 0.25 * t * t) ** -2.5
+
+
+def test_pdfs_past_their_caps_are_closed_forms_quietly():
+    ts = [sign * t for t in CAP_EDGES for sign in (1.0, -1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pdf, closed in ((normal_pdf, _normal_closed), (t4_pdf, _t4_closed),
+                            (student_t4().pdf, _t4_closed)):
+            whole = pdf(np.array(ts))
+            for t, got in zip(ts, whole):
+                want = closed(t)
+                assert pdf(t) == got
+                if want == 0.0:                 # past the underflow point
+                    assert got == 0.0
+                else:                           # subnormal at 38.5 and 1e64
+                    assert got == pytest.approx(want, rel=1e-13, abs=1e-322)
+            assert math.isnan(pdf(math.nan))
+            assert np.isnan(pdf(np.array([math.nan, 1.0]))[0])
+        # t*t overflowed here, with a warning, before t4's cap
+        assert student_t4().pdf(1e200) == 0.0

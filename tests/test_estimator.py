@@ -157,6 +157,16 @@ def test_exact_quantile_against_brute_force_bulk():
         tau = float(rng.uniform(0.05, 0.95))
         got = fit_exact_scalar_quantile(LinearSample(x=x, y=y), tau)
         assert got == pytest.approx(_brute_force_quantile(x, y, tau), abs=1e-12)
+    # tie runs: breakpoints y_i/x_i drawn from a few values, mixed-sign x
+    for _ in range(500):
+        n = int(rng.integers(1, 15))
+        x = rng.normal(0, 1, n)
+        x[x == 0] = 0.3
+        y = rng.choice(rng.normal(0, 2, int(rng.integers(1, 4))), n) * x
+        for tau in (0.1, 0.3, 0.5, 0.9):
+            got = fit_exact_scalar_quantile(LinearSample(x=x, y=y), tau)
+            assert got == pytest.approx(_brute_force_quantile(x, y, tau),
+                                        abs=1e-12)
 
 
 @given(st.integers(1, 10), st.floats(0.1, 0.9), st.integers(0, 10_000))
@@ -167,6 +177,14 @@ def test_exact_quantile_against_brute_force_property(n, tau, seed):
     y = rng.normal(0, 1, n)
     got = fit_exact_scalar_quantile(LinearSample(x=x, y=y), tau)
     assert got == pytest.approx(_brute_force_quantile(x, y, tau), abs=1e-12)
+
+
+def test_exact_quantile_breakpoints_spanning_the_float_range():
+    # the gaps between breakpoints overflow; the answer does not need them
+    s = LinearSample(x=np.ones(3), y=np.array([1e308, -1e308, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_exact_scalar_quantile(s, 0.5) == 1e308
 
 
 def test_exact_quantile_scale_equivariance():

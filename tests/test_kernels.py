@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -202,9 +203,15 @@ def test_cdf_limits_and_symmetry():
 
 
 def test_gaussian_far_tails_are_quiet_limits():
-    # x*x overflows past ~1.3e154; the density and moments still give
-    # their limits, with no warning
+    # past ~1.3e154, where x*x would overflow, the density and moments
+    # still give their limits, with no warning
     far = np.array([1e200, -1e200, np.inf, -np.inf])
+    # around phi's underflow point (|t| ~ 38.58) and the cap at 40, phi,
+    # Phi, P1 = -phi and P2 = Phi - t*phi are their closed forms, with
+    # t*phi -> 0 where phi is 0
+    edges = [38.5, 38.7, 40.0, 41.0, 1e64, 1e100, 1e154, 1.4e154, 1e300,
+             np.inf]
+    ts = np.array([sign * t for t in edges for sign in (1.0, -1.0)] + [np.nan])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.all(kernel_value(GAUSS, far) == 0.0)
@@ -212,6 +219,18 @@ def test_gaussian_far_tails_are_quiet_limits():
         assert np.all(kernel_partial_moment(GAUSS, far, 1) == 0.0)
         assert np.array_equal(kernel_partial_moment(GAUSS, far, 2),
                               [1.0, 0.0, 1.0, 0.0])
+        phi = kernel_value(GAUSS, ts)
+        cdf, p1, p2 = kernel_integrals(GAUSS, ts, (0, 1, 2))
+    assert np.all(np.isnan([phi[-1], cdf[-1], p1[-1], p2[-1]]))
+    for i, t in enumerate(ts[:-1].tolist()):
+        d = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+        c = 0.5 * math.erfc(-t / math.sqrt(2.0))
+        for got, want in ((phi[i], d), (cdf[i], c), (p1[i], -d),
+                          (p2[i], c - t * d if d else c)):
+            if want in (0.0, 1.0):              # the limits, exactly
+                assert got == want
+            else:                               # subnormal terms at 38.5
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-322)
 
 
 def test_bump_far_tails_are_quiet_limits():

@@ -7,10 +7,11 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from mollikit import mollify
-from mollikit.distributions import ErrorDensity, standard_normal
+from mollikit.distributions import (ErrorDensity, normal_pdf, standard_normal,
+                                    t4_pdf)
 from mollikit.errors import InvalidGridError, InvalidScaleError
 from mollikit.kernels import (bump_kernel, gaussian_kernel, kernel_abs_moment,
-                              kernel_cdf, kernel_value)
+                              kernel_cdf, kernel_integrals, kernel_value)
 from mollikit.losses import (absolute_loss, check_loss, huber_loss, loss_subgradient,
                              loss_value, relu_loss)
 from mollikit.mollify import (PartialMomentSmoother, expected_derivative_gap,
@@ -509,6 +510,35 @@ def test_kink_distance_overflow_threshold(kern):
                 assert np.allclose(value, loss_value(loss, u), rtol=1e-15, atol=0.0)
                 assert np.array_equal(grad, loss_subgradient(loss, u))
                 assert np.array_equal(curv, np.zeros(u.shape))
+
+
+def test_ordinary_calls_enter_no_error_state(monkeypatch):
+    # numpy's error-state switch costs about 2 us a call, which Newton
+    # passes over 100-point residual vectors feel; only t = m*(k - u),
+    # which really overflows for m above about 1e158, may enter it
+    entries = []
+
+    class CountingErrstate(np.errstate):
+        def __enter__(self):
+            entries.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", CountingErrstate)
+    u = np.concatenate([np.linspace(-3.0, 3.0, 61), [50.0, -np.inf, np.nan]])
+    for arg in (u, 0.5):
+        normal_pdf(arg)
+        t4_pdf(arg)
+        for kern in (GAUSS, BUMP):
+            kernel_value(kern, arg)
+            kernel_integrals(kern, arg, (0, 1, 2))
+            for loss in CATALOG:
+                s = PartialMomentSmoother(loss, kern, 5.0)
+                for fn in (s.value, s.derivative, s.second_derivative,
+                           s.curvature_pair):
+                    fn(arg)
+    assert entries == []
+    PartialMomentSmoother(check_loss(0.3), GAUSS, 1e159).value(u)
+    assert entries
 
 
 def test_scale_overflowing_the_jumps_is_refused():
