@@ -2,22 +2,33 @@
 
 The normal quantile is scipy's `ndtri`; the t distribution with 4
 degrees of freedom takes its CDF and quantile from scipy's `stdtr` and
-`stdtrit`.  A density is only its name, pdf and CDF: quadrature
-against it chooses its own panels.  Each pdf caps |x| past the point
-where it rounds to 0, so x*x cannot overflow.
+`stdtrit`.  `scipy.special` loads on the first call that needs it, so
+importing this module (and the CLI) does not pay for it.  A density is
+only its name, pdf and CDF: quadrature against it chooses its own
+panels.  Each pdf caps |x| past the point where it rounds to 0, so x*x
+cannot overflow.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt, pi
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 _SQRT2PI = sqrt(2.0 * pi)
 _NORMAL_CAP = 40.0     # the normal pdf rounds to 0 past |x| ~ 38.58
 _T4_CAP = 1e100        # the t4 pdf rounds to 0 past |x| ~ 8.5e64
+
+
+@lru_cache(maxsize=1)
+def _special():
+    # scipy.special is slow to import and neither the bump kernel nor the
+    # CLI's start uses it, so it loads on the first call that does; the
+    # cache spares every later call the import statement
+    import scipy.special
+    return scipy.special
 
 
 @dataclass(frozen=True)
@@ -45,7 +56,7 @@ def normal_quantile(p) -> float | np.ndarray:
     parr = np.asarray(p, dtype=float)
     if np.any((parr < 0.0) | (parr > 1.0)):
         raise ValueError("probability outside [0, 1]")
-    return _as_same(p, ndtri(parr))
+    return _as_same(p, _special().ndtri(parr))
 
 
 def t4_pdf(x):
@@ -57,7 +68,7 @@ def t4_cdf(x):
     """CDF of the t distribution with 4 degrees of freedom (scipy's
     `stdtr`, accurate in both tails)."""
     x = np.asarray(x, dtype=float)
-    return _as_same(x, stdtr(4.0, x))
+    return _as_same(x, _special().stdtr(4.0, x))
 
 
 def t4_quantile(p) -> float | np.ndarray:
@@ -65,14 +76,14 @@ def t4_quantile(p) -> float | np.ndarray:
     parr = np.asarray(p, dtype=float)
     if np.any((parr <= 0.0) | (parr >= 1.0)):
         raise ValueError("probability outside (0, 1)")
-    return _as_same(p, stdtrit(4.0, parr))
+    return _as_same(p, _special().stdtrit(4.0, parr))
 
 
 def standard_normal() -> ErrorDensity:
     return ErrorDensity(
         name="normal01",
         pdf=normal_pdf,
-        cdf=lambda x: ndtr(np.asarray(x, dtype=float)),
+        cdf=lambda x: _special().ndtr(np.asarray(x, dtype=float)),
     )
 
 

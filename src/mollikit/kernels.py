@@ -16,9 +16,8 @@ from functools import lru_cache
 from math import sqrt, pi
 
 import numpy as np
-from scipy.special import ndtr
 
-from .distributions import _NORMAL_CAP, _as_same, normal_pdf
+from .distributions import _NORMAL_CAP, _as_same, _special, normal_pdf
 
 GAUSSIAN = "gaussian"
 BUMP = "bump"
@@ -189,7 +188,7 @@ def kernel_integrals(kernel: MollifierKernel, t, ks) -> list[np.ndarray]:
     if kernel.kind == BUMP:
         tables = _bump_pass()[0]
         return _table_lookup([tables[k] for k in ks], x)
-    cdf = ndtr(x) if 0 in ks or 2 in ks else None
+    cdf = _special().ndtr(x) if 0 in ks or 2 in ks else None
     phi = normal_pdf(x) if 1 in ks or 2 in ks else None
     outs = []
     for k in ks:                              # P1 = -phi; P2 = Phi - t*phi

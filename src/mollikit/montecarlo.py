@@ -23,7 +23,6 @@ count and any replication order, and extending M preserves the prefix.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral, Real
@@ -148,8 +147,8 @@ def generate_sample(config: ExperimentConfig, replication: int) -> LinearSample:
     """Draw replication j of the simulation design.
 
     x is drawn first, then the raw errors: normal errors straight from
-    the generator, t4 errors by feeding uniforms through the closed-form
-    quantile.
+    the generator, t4 errors by feeding uniforms through scipy's t4
+    quantile (`stdtrit`).
     """
     if not 0 <= replication < config.replications:
         raise ValueError("replication index out of range")
@@ -260,6 +259,8 @@ def _run(fits: Callable, config: ExperimentConfig, threads: int,
     task = partial(_record, fits, config, generator or generate_sample)
     replications = range(config.replications)
     if generator is None and threads > 1:
+        # the pool (and multiprocessing) loads only for a parallel run
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, config.replications // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as ex:
             records = list(ex.map(task, replications, chunksize=chunk))

@@ -508,16 +508,22 @@ def test_every_subcommand_runs(tmp_path):
         assert len(json.loads(Path(f"{out}.json").read_text())) == 2, name
 
 
-# slow scipy packages that importing the CLI must not load: only the d > 1
-# probe directions of the quadratic surrogate need scipy.stats, the bump
-# tables are cubic Hermite lookups in plain numpy, only the tests and the
-# benchmark's checks integrate with scipy.integrate, and the Newton step
-# loads LAPACK from scipy.linalg on its first solve
+# slow modules that importing the CLI and building the bump tables must
+# not load: only the d > 1 probe directions of the quadratic surrogate need
+# scipy.stats, the bump tables are cubic Hermite lookups in plain numpy,
+# only the tests and the benchmark's checks integrate with scipy.integrate,
+# the Newton step loads LAPACK from scipy.linalg on its first solve, the
+# normal and t4 functions load scipy.special on their first call, and the
+# process pool loads only for a run with more than one thread
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.interpolate",
-                                    "scipy.integrate", "scipy.linalg"])
+                                    "scipy.integrate", "scipy.linalg",
+                                    "scipy.special",
+                                    "concurrent.futures.process"])
 def test_cli_import_leaves_scipy_unloaded(module):
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import mollikit.cli; "
+            "from mollikit.kernels import bump_kernel, kernel_cdf; "
+            "kernel_cdf(bump_kernel(), 0.0); "
             "print(sys.argv[2] in sys.modules)")
     out = subprocess.run([sys.executable, "-I", "-c", code, str(src), module],
                          capture_output=True, text=True, check=True)

@@ -1,13 +1,19 @@
+import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri, stdtr, stdtrit
 from scipy.stats import t as student_t
 
+from mollikit import distributions
 from mollikit.distributions import (normal_pdf, normal_quantile, standard_normal,
                                     student_t4, t4_cdf, t4_pdf, t4_quantile)
+from mollikit.kernels import gaussian_kernel, kernel_integrals
 
 from reference import integrate, t4_cdf_closed_form, t4_quantile_closed_form
 
@@ -130,3 +136,52 @@ def test_pdfs_past_their_caps_are_closed_forms_quietly():
             assert np.isnan(pdf(np.array([math.nan, 1.0]))[0])
         # t*t overflowed here, with a warning, before t4's cap
         assert student_t4().pdf(1e200) == 0.0
+
+
+FIRST_USE_X = [-math.inf, -50.0, -38.0, -3.5, -1e-3, 0.0, 0.7, 2.5, 39.0,
+               1e300, math.inf]
+FIRST_USE_P = [1e-300, 0.025, 0.3, 0.5, 0.975, 1.0 - 2.0 ** -53]
+
+# the first calls in an interpreter that has imported the CLI but not yet
+# scipy.special, each result as float.hex strings
+_FIRST_USE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import mollikit.cli
+from mollikit.distributions import (normal_quantile, standard_normal, t4_cdf,
+                                    t4_quantile)
+from mollikit.kernels import gaussian_kernel, kernel_integrals
+x, p = json.loads(sys.argv[2])
+hexes = lambda a: [float(v).hex() for v in a]
+out = {"loaded_before": "scipy.special" in sys.modules}
+out["kernel"] = [hexes(v) for v in kernel_integrals(gaussian_kernel(), x,
+                                                    (0, 1, 2))]
+out["normal_quantile"] = hexes(normal_quantile(p))
+out["t4_cdf"] = hexes(t4_cdf(x))
+out["t4_quantile"] = hexes(t4_quantile(p))
+out["normal_cdf"] = hexes(standard_normal().cdf(x))
+print(json.dumps(out))
+"""
+
+
+def test_first_use_of_scipy_special_matches_its_ufuncs_bit_for_bit():
+    src = Path(distributions.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", _FIRST_USE, str(src),
+         json.dumps([FIRST_USE_X, FIRST_USE_P])],
+        capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout)
+    assert got.pop("loaded_before") is False
+
+    def hexes(a):
+        return [float(v).hex() for v in a]
+
+    x, p = np.array(FIRST_USE_X), np.array(FIRST_USE_P)
+    kernel = kernel_integrals(gaussian_kernel(), x, (0, 1, 2))
+    assert got == {
+        "kernel": [hexes(ndtr(x)), hexes(kernel[1]), hexes(kernel[2])],
+        "normal_quantile": hexes(ndtri(p)),
+        "t4_cdf": hexes(stdtr(4.0, x)),
+        "t4_quantile": hexes(stdtrit(4.0, p)),
+        "normal_cdf": hexes(ndtr(x)),
+    }

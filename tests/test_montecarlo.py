@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +228,36 @@ def test_rmse_thread_count_invariance():
     assert serial.rmse_m == parallel.rmse_m
     assert serial.rmse_h == parallel.rmse_h
     assert serial.rmse_tau == parallel.rmse_tau
+
+
+# a parallel run from an interpreter that has not loaded scipy.special:
+# the forked workers import it on their first t4 draw
+_FORK_BEFORE_LOAD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from mollikit.montecarlo import ExperimentConfig, run_rmse_experiment
+assert "scipy.special" not in sys.modules
+config = ExperimentConfig.from_dict(json.loads(sys.argv[2]))
+result = run_rmse_experiment(config, threads=2)
+# the workers drew the samples, so only they loaded scipy.special
+assert "concurrent.futures.process" in sys.modules
+assert "scipy.special" not in sys.modules
+print(json.dumps(result.to_dict()))
+"""
+
+
+def test_workers_forked_before_scipy_special_loads_keep_the_records():
+    cfg = _cfg(replications=8, m_list=(5.0,), h_list=(0.5,), tau=0.3,
+               error_dist="t4")
+    src = Path(montecarlo.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", _FORK_BEFORE_LOAD, str(src),
+         json.dumps(cfg.to_dict())],
+        capture_output=True, text=True, check=True)
+    parallel = json.loads(done.stdout)
+    serial = json.loads(json.dumps(run_rmse_experiment(cfg, threads=1).to_dict()))
+    assert parallel["records"] == serial["records"]
+    assert parallel == serial
 
 
 def test_rmse_sensible_magnitude():
