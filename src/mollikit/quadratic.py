@@ -21,13 +21,15 @@ from math import log, sqrt
 
 import numpy as np
 
-from .distributions import normal_quantile
 from .errors import (IncompleteSampleError, InvalidCurvatureError,
                      SingularGramError)
 from .estimator import LinearSample, fit_smoothed
 from .kernels import MollifierKernel
 from .losses import LossSpec, loss_subgradient, loss_value
 from .mollify import smoothed_loss
+
+# points in approximation_gap's probe set
+_PROBES = 512
 
 
 @dataclass(frozen=True)
@@ -37,20 +39,15 @@ class QuadraticApprox:
     a: float               # curvature constant, > 0
 
 
-def tilde_L(sample: LinearSample, loss: LossSpec, beta) -> float:
-    """Recentred empirical loss at beta (needs e and theta0)."""
+def tilde_L(sample: LinearSample, loss: LossSpec, beta) -> float | np.ndarray:
+    """Recentred empirical loss (needs e and theta0): a float at one point
+    of d entries, a (P,) array at the rows of a (P, d) array."""
     sample.require_truth()
-    b = np.asarray(beta, dtype=float).reshape(-1, 1)
-    return float(_tilde_L_probes(sample, loss, b.T)[0])
-
-
-def _tilde_L_probes(sample: LinearSample, loss: LossSpec,
-                    betas: np.ndarray) -> np.ndarray:
-    """Recentred loss at each row of betas, shape (P, d) -> (P,)."""
-    shift = (sample.x @ betas.T) / sqrt(sample.n)          # (n, P)
+    pts = np.atleast_2d(np.asarray(beta, dtype=float))
+    shift = (sample.x @ pts.T) / sqrt(sample.n)            # (n, P)
     args = sample.e[:, None] - shift
-    base = loss_value(loss, sample.e).sum()
-    return loss_value(loss, args).sum(axis=0) - base
+    out = loss_value(loss, args).sum(axis=0) - loss_value(loss, sample.e).sum()
+    return float(out[0]) if np.ndim(beta) < 2 else out
 
 
 def build_quadratic(sample: LinearSample, loss: LossSpec,
@@ -79,9 +76,12 @@ def curvature_plugin(loss: LossSpec, kernel: MollifierKernel, m: float,
     return float(np.mean(smoother.second_derivative(np.asarray(e, dtype=float))))
 
 
-def q_value(q: QuadraticApprox, beta) -> float:
-    b = np.asarray(beta, dtype=float).ravel()
-    return float(-q.score @ b + 0.5 * q.a * b @ q.gram @ b)
+def q_value(q: QuadraticApprox, beta) -> float | np.ndarray:
+    """Surrogate -S'beta + (a/2) beta'G beta: a float at one point of d
+    entries, a (P,) array at the rows of a (P, d) array."""
+    pts = np.atleast_2d(np.asarray(beta, dtype=float))
+    out = -pts @ q.score + 0.5 * q.a * np.einsum("pi,ij,pj->p", pts, q.gram, pts)
+    return float(out[0]) if np.ndim(beta) < 2 else out
 
 
 def beta_Q(q: QuadraticApprox) -> np.ndarray:
@@ -92,21 +92,10 @@ def beta_Q(q: QuadraticApprox) -> np.ndarray:
     return np.linalg.solve(q.a * q.gram, q.score)
 
 
-def _probe_directions(d: int, count: int) -> np.ndarray:
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    # scipy.stats is slow to import and only needed here, for d > 1
-    from scipy.stats import qmc
-    sampler = qmc.Halton(d=d, scramble=False)
-    pts = sampler.random(count)
-    z = normal_quantile(np.clip(pts, 1e-12, 1 - 1e-12).ravel()).reshape(pts.shape)
-    # no row is 0: a base-3 radical inverse is never 1/2
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
 def probe_ball(d: int, radius: float, probes: int) -> np.ndarray:
-    """Deterministic low-discrepancy probe set in the ball, 0 included."""
-    dirs = _probe_directions(d, max(2, 2 * d))
+    """Deterministic probe set in the ball: 0, then evenly spaced radii
+    out to `radius` along each of the 2d signed coordinate axes."""
+    dirs = np.vstack([np.eye(d), -np.eye(d)])
     n_rad = max(1, (probes - 1) // len(dirs))
     radii = radius * np.arange(1, n_rad + 1) / n_rad
     pts = (dirs[None, :, :] * radii[:, None, None]).reshape(-1, d)
@@ -114,14 +103,11 @@ def probe_ball(d: int, radius: float, probes: int) -> np.ndarray:
 
 
 def approximation_gap(sample: LinearSample, loss: LossSpec, a: float,
-                      radius: float, probes: int = 512) -> float:
-    """max over probe points of |recentred loss - surrogate| in the ball."""
-    sample.require_truth()
-    q = build_quadratic(sample, loss, a)
-    pts = probe_ball(sample.d, radius, probes)
-    exact = _tilde_L_probes(sample, loss, pts)
-    quad = -pts @ q.score + 0.5 * q.a * np.einsum("pi,ij,pj->p", pts, q.gram, pts)
-    return float(np.max(np.abs(exact - quad)))
+                      radius: float) -> float:
+    """max over the probe points of |recentred loss - surrogate| in the ball."""
+    pts = probe_ball(sample.d, radius, _PROBES)
+    gap = tilde_L(sample, loss, pts) - q_value(build_quadratic(sample, loss, a), pts)
+    return float(np.max(np.abs(gap)))
 
 
 def beta_gap(sample: LinearSample, theta_hat: np.ndarray,

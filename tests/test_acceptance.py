@@ -188,8 +188,8 @@ def test_criterion_08_gap_sup_slope():
         cfg = ExperimentConfig(n=n, replications=200, tau=0.5,
                                error_dist="normal01", m_list=(5.0,),
                                base_seed=808)
-        gaps = [approximation_gap(generate_sample(cfg, j), loss, A_NORMAL,
-                                  2.0, probes=512) for j in range(200)]
+        gaps = [approximation_gap(generate_sample(cfg, j), loss, A_NORMAL, 2.0)
+                for j in range(200)]
         meds[n] = float(np.median(gaps))
     ns = np.array(sorted(meds))
     slope = float(np.polyfit(np.log(ns), np.log([meds[n] for n in ns]), 1)[0])

@@ -108,6 +108,10 @@ def test_curve_bad_grid(tmp_path, capsys):
                        "--grid", grid, "--out", str(tmp_path / "x.csv")])
         assert rc == 2, grid
         assert capsys.readouterr().err.startswith("error: bad grid"), grid
+    rc = cli.main(["curve", "--loss", "abs", "--kernel", "bump", "--m", "5",
+                   "--grid", "0:1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "expected lo:hi:step" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -174,10 +178,15 @@ def test_rate_far_grid(tmp_path):
     assert float(rows[1][1]) <= 1e-9
 
 
-def test_rate_empty_m_list(tmp_path):
+def test_rate_empty_m_list(tmp_path, capsys):
     rc = cli.main(["rate", "--loss", "abs", "--kernel", "bump", "--m", "",
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+    rc = cli.main(["rate", "--loss", "abs", "--kernel", "bump", "--m", "5,abc",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "bad m list" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_rate_refuses_a_scale_the_smoother_refuses(tmp_path, capsys):
@@ -509,9 +518,9 @@ def test_every_subcommand_runs(tmp_path):
 
 
 # slow modules that importing the CLI and building the bump tables must
-# not load: only the d > 1 probe directions of the quadratic surrogate need
-# scipy.stats, the bump tables are cubic Hermite lookups in plain numpy,
-# only the tests and the benchmark's checks integrate with scipy.integrate,
+# not load: the library never imports scipy.stats (the surrogate's probes
+# lie on the signed axes), the bump tables are cubic Hermite lookups in
+# plain numpy, only the tests and the benchmark's checks integrate with scipy.integrate,
 # the Newton step loads LAPACK from scipy.linalg on its first solve, the
 # normal and t4 functions load scipy.special on their first call, and the
 # process pool loads only for a run with more than one thread

@@ -58,6 +58,10 @@ def test_sample_shapes_and_validation():
     with pytest.raises(ValueError):
         LinearSample(x=np.ones(3), y=np.ones(3), e=np.zeros(3),
                      theta0=np.array([5.0]))             # y != x theta0 + e
+    with pytest.raises(ValueError, match="one entry per observation"):
+        LinearSample(x=np.ones(3), y=np.ones(3), e=np.zeros(2))
+    with pytest.raises(ValueError, match="one entry per regressor"):
+        LinearSample(x=np.ones(3), y=np.ones(3), theta0=np.ones(2))
 
 
 def test_sample_arrays_are_read_only_copies():

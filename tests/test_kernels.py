@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from mollikit.kernels import (bump_kernel, bump_normalizer, gaussian_kernel,
-                              kernel_abs_moment, kernel_cdf, kernel_integrals,
-                              kernel_partial_moment, kernel_value, parse_kernel)
+from mollikit.kernels import (MollifierKernel, bump_kernel, bump_normalizer,
+                              gaussian_kernel, kernel_abs_moment, kernel_cdf,
+                              kernel_integrals, kernel_partial_moment,
+                              kernel_value, parse_kernel)
 
 from reference import integrate, kernel_derivative
 
@@ -139,6 +140,9 @@ def test_gaussian_moments_against_quadrature():
 def test_abs_moment_validation():
     with pytest.raises(ValueError):
         kernel_abs_moment(BUMP, 3)
+    for kern in (BUMP, GAUSS):
+        with pytest.raises(ValueError, match="k must be 1 or 2"):
+            kernel_partial_moment(kern, 0.5, 0)
 
 
 @pytest.mark.parametrize("kern", [BUMP, GAUSS])
@@ -281,3 +285,5 @@ def test_parse_kernel():
     assert parse_kernel("bump").kind == "bump"
     with pytest.raises(ValueError):
         parse_kernel("uniform")
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        MollifierKernel("uniform")

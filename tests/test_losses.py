@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from mollikit.distributions import ErrorDensity, standard_normal, student_t4
 from mollikit.errors import CurvatureUndefinedError
-from mollikit.kernels import bump_kernel
-from mollikit.losses import (CurvatureMeasure, absolute_loss, check_loss,
-                             expected_curvature, huber_loss, loss_curvature,
-                             loss_pieces, loss_subgradient, loss_value,
-                             parse_loss, relu_loss)
+from mollikit.kernels import bump_kernel, gaussian_kernel
+from mollikit.losses import (CurvatureMeasure, LossSpec, absolute_loss,
+                             check_loss, expected_curvature, huber_loss,
+                             loss_curvature, loss_pieces, loss_subgradient,
+                             loss_value, parse_loss, relu_loss)
 from mollikit.mollify import PartialMomentSmoother
 
 from reference import t4_cdf_closed_form
@@ -95,6 +97,22 @@ def test_lipschitz_bulk(loss):
     u = rng.uniform(-10, 10, 10_000)
     lhs = np.abs(loss_value(loss, x + u) - loss_value(loss, u))
     assert np.all(lhs <= loss.lipschitz * np.abs(x) + 1e-12)
+
+
+def test_huber_past_the_largest_float_overflows_loudly():
+    # c*|x| > DBL_MAX: inf is the correct rounding and numpy's overflow
+    # warning the signal; a quiet version would need an error-state
+    # switch on the smoother's hot path.  The slope stays finite.
+    loss = huber_loss(10.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert loss_value(loss, 1e308) == np.inf
+    for kern in (bump_kernel(), gaussian_kernel()):
+        s = PartialMomentSmoother(loss, kern, 5.0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert s.value(1e308) == np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert s.derivative(1e308) == 10.0
 
 
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda lo: lo.label)
@@ -193,6 +211,12 @@ def test_construction_validation():
         huber_loss(0.0)
     with pytest.raises(ValueError):
         huber_loss(-1.0)
+    with pytest.raises(ValueError, match="unknown loss kind"):
+        LossSpec("hinge")
+    with pytest.raises(ValueError, match="tau only applies"):
+        LossSpec("absolute", tau=0.5)
+    with pytest.raises(ValueError, match="c only applies"):
+        LossSpec("check", tau=0.5, c=1.0)
 
 
 def test_parse_loss_grammar():

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,52 @@ def test_exclusion_audit_below_gate():
     assert res.excluded == 1
     assert res.records[0]["failed"]
     assert "boom" in res.records[0]["error"]
+
+
+def _summaries(res):
+    return (res.rmse_tau, res.rmse_m, res.mad_m, res.mean_abs_beta_m,
+            res.mean_abs_beta_q)
+
+
+@pytest.mark.parametrize("run", [run_rmse_experiment, run_mad_experiment])
+def test_unconverged_fit_excludes_its_replication(run, monkeypatch):
+    # the generator hook marks replication 3's sample, and its smoothed
+    # fit comes back unconverged; the record still holds that fit's
+    # fields, so the summaries match a run that drops replication 3
+    # before any fit only if they leave the record out
+    marked = []
+
+    def marking(config, j):
+        sample = generate_sample(config, j)
+        if j == 3:
+            marked.append(sample)
+        return sample
+
+    def dropping(config, j):
+        if j == 3:
+            raise SingularDesignError("dropped")
+        return generate_sample(config, j)
+
+    def unconverged(sample, *args, **kw):
+        fit = fit_smoothed(sample, *args, **kw)
+        if any(sample is m for m in marked):
+            return replace(fit, converged=False)
+        return fit
+
+    monkeypatch.setattr(montecarlo, "fit_smoothed", unconverged)
+    cfg = _cfg(replications=200)
+    res = run(cfg, generator=marking)
+    dropped = run(cfg, generator=dropping)
+    assert res.excluded == 1
+    assert res.records[3]["failed"]
+    assert res.records[3]["error"] == "solver did not converge"
+    others = [j for j in range(200) if j != 3]
+    assert [res.records[j] for j in others] == [dropped.records[j] for j in others]
+    for name in ("rmse_tau", "rmse_m", "mad_m", "mean_abs_beta_m",
+                 "mean_abs_beta_q"):
+        assert getattr(res, name) == getattr(dropped, name), name
+    with pytest.raises(ExperimentError):
+        run(_cfg(replications=50), generator=marking)
 
 
 @pytest.mark.parametrize("run", [run_rmse_experiment, run_mad_experiment])

@@ -1,7 +1,7 @@
 from importlib.util import find_spec
 
 import mollikit
-from mollikit import errors, estimator, kernels, mollify
+from mollikit import errors, estimator, kernels, mollify, quadratic
 
 
 def test_public_names_resolve_once():
@@ -17,6 +17,8 @@ def test_public_names_resolve_once():
                         (mollikit, "quadrature"),
                         (mollikit, "smooth_second_derivative"),
                         (mollify, "smooth_second_derivative"),
-                        (errors, "QuadratureError")):
+                        (errors, "QuadratureError"),
+                        (quadratic, "_tilde_L_probes"),
+                        (quadratic, "_probe_directions")):
         assert not hasattr(owner, gone)
     assert find_spec("mollikit.quadrature") is None

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mollikit import quadratic
 from mollikit.distributions import standard_normal
 from mollikit.errors import (IncompleteSampleError, InvalidCurvatureError,
                              SingularGramError)
@@ -168,17 +173,68 @@ def test_probe_ball_contains_origin_and_respects_radius():
     pts = probe_ball(1, 2.0, 64)
     assert np.any(np.all(pts == 0.0, axis=1))
     assert np.max(np.abs(pts)) <= 2.0 + 1e-12
+    assert np.array_equal(np.unique(np.sign(pts)), [-1, 0, 1])
     pts2 = probe_ball(3, 1.5, 128)
     assert pts2.shape[1] == 3
     assert np.max(np.linalg.norm(pts2, axis=1)) <= 1.5 + 1e-12
+    # every point but 0 lies on an axis, and each signed axis reaches
+    # the radius
+    assert np.all(np.count_nonzero(pts2[1:], axis=1) == 1)
+    ends = {tuple(p) for p in pts2 if np.linalg.norm(p) == 1.5}
+    assert ends == {tuple(v) for v in np.vstack([np.eye(3), -np.eye(3)]) * 1.5}
+
+
+def test_evaluators_take_one_point_or_many():
+    rng = np.random.default_rng(12)
+    x = rng.normal(1, 1, (60, 2))
+    e = rng.standard_normal(60)
+    theta0 = np.array([1.0, -0.5])
+    s = LinearSample(x=x, y=x @ theta0 + e, e=e, theta0=theta0)
+    q = build_quadratic(s, check_loss(0.3), A_NORMAL)
+    pts = rng.normal(0, 1, (5, 2))
+    for f in (lambda b: tilde_L(s, check_loss(0.3), b), lambda b: q_value(q, b)):
+        many = f(pts)
+        assert many.shape == (5,)
+        for b, want in zip(pts, many):
+            one = f(b)
+            assert isinstance(one, float)
+            assert one == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 def test_approximation_gap_nonnegative_and_deterministic():
     s = _known_sample(7, 100)
-    g1 = approximation_gap(s, check_loss(0.5), A_NORMAL, 2.0, probes=256)
-    g2 = approximation_gap(s, check_loss(0.5), A_NORMAL, 2.0, probes=256)
+    g1 = approximation_gap(s, check_loss(0.5), A_NORMAL, 2.0)
+    g2 = approximation_gap(s, check_loss(0.5), A_NORMAL, 2.0)
     assert g1 >= 0.0
     assert g1 == g2
+    # the largest gap of the two evaluators over the 512 probe points
+    q = build_quadratic(s, check_loss(0.5), A_NORMAL)
+    gaps = [abs(tilde_L(s, check_loss(0.5), b) - q_value(q, b))
+            for b in probe_ball(1, 2.0, 512)]
+    assert g1 == pytest.approx(max(gaps), abs=1e-12)
+
+
+# a gap in three dimensions, from an interpreter that has not loaded
+# scipy.stats: the probe set needs no quasi-random directions
+_GAP_IN_3D = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from mollikit.estimator import LinearSample
+from mollikit.losses import check_loss
+from mollikit.quadratic import approximation_gap
+x = np.random.default_rng(3).normal(1, 1, (40, 3))
+s = LinearSample(x=x, y=x.sum(axis=1), e=np.zeros(40), theta0=np.ones(3))
+assert approximation_gap(s, check_loss(0.5), 0.4, 1.0) >= 0.0
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_gap_in_three_dimensions_leaves_scipy_stats_unloaded():
+    src = Path(quadratic.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-I", "-c", _GAP_IN_3D, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_pointwise_gap_decays_with_sample_size():
