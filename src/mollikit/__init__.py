@@ -16,7 +16,7 @@ from .montecarlo import (ExperimentConfig, ExperimentResult, error_quantile_shif
                          generate_sample, run_mad_experiment, run_rmse_experiment)
 from .quadratic import (QuadraticApprox, approximation_gap, beta_Q,
                         build_quadratic, curvature_plugin, loglog_scale,
-                        minimizer_gap, q_value, tilde_L)
+                        q_value, tilde_L)
 
 __all__ = [
     "ErrorDensity", "standard_normal", "student_t4",
@@ -32,7 +32,7 @@ __all__ = [
     "ExperimentConfig", "ExperimentResult", "error_quantile_shift",
     "generate_sample", "run_mad_experiment", "run_rmse_experiment",
     "QuadraticApprox", "approximation_gap", "beta_Q", "build_quadratic",
-    "curvature_plugin", "loglog_scale", "minimizer_gap", "q_value", "tilde_L",
+    "curvature_plugin", "loglog_scale", "q_value", "tilde_L",
 ]
 
 __version__ = "0.1.0"

@@ -59,3 +59,7 @@ class ExperimentError(MollikitError, RuntimeError):
 
 class InvalidGridError(MollikitError, ValueError):
     """Evaluation grid must be nonempty and hold finite points only."""
+
+
+class InvalidPointError(MollikitError, ValueError):
+    """Surrogate evaluation points need one entry per regressor."""

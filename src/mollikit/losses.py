@@ -38,7 +38,7 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind == CHECK:
             if self.tau is None or not 0.0 < self.tau < 1.0:
-                raise ValueError("check loss needs tau in (0, 1)")
+                raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         elif self.tau is not None:
             raise ValueError("tau only applies to the check loss")
         if self.kind == HUBER:

@@ -42,9 +42,9 @@ from .quadratic import beta_Q, beta_gap, build_quadratic
 
 THETA0 = 1.0
 
-# A replication that raises one of these is recorded as excluded; any
-# other exception is a programming error and propagates.
-_REPLICATION_ERRORS = (MollikitError, np.linalg.LinAlgError, FloatingPointError)
+# A replication raising a library or linear-algebra error is excluded; any
+# other exception (a FloatingPointError under np.seterr too) propagates.
+_REPLICATION_ERRORS = (MollikitError, np.linalg.LinAlgError)
 
 _DIST_ALIASES = {
     "normal01": "normal01", "normal": "normal01", "gaussian": "normal01",
@@ -107,19 +107,18 @@ class ExperimentConfig:
                 raise ValueError(f"{name} has scales with the same label: {values}")
             object.__setattr__(self, name, values)
         object.__setattr__(self, "error_dist", _dist_key(self.error_dist))
+        object.__setattr__(self, "kernel", parse_kernel(self.kernel).kind)
         if self.n < 10:
             raise ValueError("n must be at least 10")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
-        parse_kernel(self.kernel)
+        loss = check_loss(self.tau)                   # the check loss's tau rule
         if any(not 0.0 < h < 1.0 for h in self.h_list):
             raise ValueError("every h must lie in (0, 1)")
         for m in (*self.m_list, *(1.0 / h for h in self.h_list)):
-            check_scale(check_loss(self.tau), m)     # the smoothers' own rule
+            check_scale(loss, m)                      # the smoothers' own rule
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -22,8 +22,8 @@ from math import log, sqrt
 import numpy as np
 
 from .errors import (IncompleteSampleError, InvalidCurvatureError,
-                     SingularGramError)
-from .estimator import LinearSample, fit_smoothed
+                     InvalidGridError, InvalidPointError, SingularGramError)
+from .estimator import LinearSample
 from .kernels import MollifierKernel
 from .losses import LossSpec, loss_subgradient, loss_value
 from .mollify import smoothed_loss
@@ -39,11 +39,20 @@ class QuadraticApprox:
     a: float               # curvature constant, > 0
 
 
+def _points(beta, d: int) -> np.ndarray:
+    """beta, one point of d entries or a (P, d) array, as (P, d) points."""
+    pts = np.atleast_2d(np.asarray(beta, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise InvalidPointError(f"points need {d} entries each, "
+                                f"got an array of shape {np.shape(beta)}")
+    return pts
+
+
 def tilde_L(sample: LinearSample, loss: LossSpec, beta) -> float | np.ndarray:
     """Recentred empirical loss (needs e and theta0): a float at one point
     of d entries, a (P,) array at the rows of a (P, d) array."""
     sample.require_truth()
-    pts = np.atleast_2d(np.asarray(beta, dtype=float))
+    pts = _points(beta, sample.d)
     shift = (sample.x @ pts.T) / sqrt(sample.n)            # (n, P)
     args = sample.e[:, None] - shift
     out = loss_value(loss, args).sum(axis=0) - loss_value(loss, sample.e).sum()
@@ -79,7 +88,7 @@ def curvature_plugin(loss: LossSpec, kernel: MollifierKernel, m: float,
 def q_value(q: QuadraticApprox, beta) -> float | np.ndarray:
     """Surrogate -S'beta + (a/2) beta'G beta: a float at one point of d
     entries, a (P,) array at the rows of a (P, d) array."""
-    pts = np.atleast_2d(np.asarray(beta, dtype=float))
+    pts = _points(beta, len(q.score))
     out = -pts @ q.score + 0.5 * q.a * np.einsum("pi,ij,pj->p", pts, q.gram, pts)
     return float(out[0]) if np.ndim(beta) < 2 else out
 
@@ -105,6 +114,8 @@ def probe_ball(d: int, radius: float, probes: int) -> np.ndarray:
 def approximation_gap(sample: LinearSample, loss: LossSpec, a: float,
                       radius: float) -> float:
     """max over the probe points of |recentred loss - surrogate| in the ball."""
+    if not 0.0 < radius < np.inf:
+        raise InvalidGridError(f"probe radius must be finite and > 0, got {radius}")
     pts = probe_ball(sample.d, radius, _PROBES)
     gap = tilde_L(sample, loss, pts) - q_value(build_quadratic(sample, loss, a), pts)
     return float(np.max(np.abs(gap)))
@@ -118,14 +129,6 @@ def beta_gap(sample: LinearSample, theta_hat: np.ndarray,
     sample.require_truth()
     beta_m = sqrt(sample.n) * (theta_hat - sample.theta0)
     return beta_m, float(np.linalg.norm(beta_m - beta_q))
-
-
-def minimizer_gap(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
-                  m: float, a: float) -> float:
-    """beta_gap's distance for the smoothed fit at scale m."""
-    sample.require_truth()
-    fit = fit_smoothed(sample, loss, kernel, m)
-    return beta_gap(sample, fit.theta_hat, beta_Q(build_quadratic(sample, loss, a)))[1]
 
 
 def loglog_scale(n: int) -> float:

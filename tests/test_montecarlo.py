@@ -53,8 +53,9 @@ def test_config_validation():
         _cfg(n=5)
     with pytest.raises(ValueError):
         _cfg(replications=0)
-    with pytest.raises(ValueError):
-        _cfg(tau=0.0)
+    for tau in (0.0, 1.0, -0.2, 1.5, float("nan")):   # the check loss's rule
+        with pytest.raises(ValueError):
+            _cfg(tau=tau)
     with pytest.raises(ValueError):
         _cfg(error_dist="cauchy")
     with pytest.raises(ValueError):
@@ -103,6 +104,17 @@ def test_config_json_round_trip(tmp_path):
     path.write_text(json.dumps(cfg.to_dict()))
     again = ExperimentConfig.from_dict(json.loads(path.read_text()))
     assert again == cfg
+
+
+def test_config_stores_canonical_kernel():
+    # like error_dist, the kernel is stored under the name the results
+    # JSON and the benchmark checks compare against
+    for spelling, name in (("Bump", "bump"), (" compact ", "bump"),
+                           ("GAUSS", "gaussian"), ("gaussian", "gaussian")):
+        cfg = _cfg(kernel=spelling)
+        assert cfg.kernel == name
+        assert cfg.to_dict()["kernel"] == name
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_config_rejects_unknown_keys():
@@ -403,13 +415,16 @@ def test_generator_hook_forces_inline(run):
 
 @pytest.mark.parametrize("run", [run_rmse_experiment, run_mad_experiment])
 def test_programming_error_propagates(run):
-    # only library, linear-algebra and floating-point errors exclude a
-    # replication; a bug must crash, not count as an exclusion
-    def buggy(config, j):
-        raise NameError("name 'undefined' is not defined")
+    # only library and linear-algebra errors exclude a replication; a
+    # bug, or a FloatingPointError under a caller's np.seterr, must
+    # crash, not count as an exclusion
+    for error in (NameError("name 'undefined' is not defined"),
+                  FloatingPointError("underflow encountered in exp")):
+        def buggy(config, j, error=error):
+            raise error
 
-    with pytest.raises(NameError):
-        run(_cfg(replications=3), generator=buggy)
+        with pytest.raises(type(error)):
+            run(_cfg(replications=3), generator=buggy)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ def test_public_names_resolve_once():
                         (mollify, "smooth_second_derivative"),
                         (errors, "QuadratureError"),
                         (quadratic, "_tilde_L_probes"),
-                        (quadratic, "_probe_directions")):
+                        (quadratic, "_probe_directions"),
+                        (mollikit, "minimizer_gap"),
+                        (quadratic, "minimizer_gap")):
         assert not hasattr(owner, gone)
     assert find_spec("mollikit.quadrature") is None

@@ -8,14 +8,15 @@ import pytest
 from mollikit import quadratic
 from mollikit.distributions import standard_normal
 from mollikit.errors import (IncompleteSampleError, InvalidCurvatureError,
-                             SingularGramError)
-from mollikit.estimator import LinearSample
+                             InvalidGridError, InvalidPointError,
+                             MollikitError, SingularGramError)
+from mollikit.estimator import LinearSample, fit_smoothed
 from mollikit.kernels import bump_kernel
 from mollikit.losses import absolute_loss, check_loss, expected_curvature, huber_loss
 from mollikit.montecarlo import ExperimentConfig, generate_sample
 from mollikit.quadratic import (QuadraticApprox, approximation_gap, beta_Q,
-                                build_quadratic, curvature_plugin, loglog_scale,
-                                minimizer_gap, probe_ball, q_value, tilde_L)
+                                beta_gap, build_quadratic, curvature_plugin,
+                                loglog_scale, probe_ball, q_value, tilde_L)
 
 A_NORMAL = 0.3989422804014327
 
@@ -199,6 +200,19 @@ def test_evaluators_take_one_point_or_many():
             one = f(b)
             assert isinstance(one, float)
             assert one == pytest.approx(want, rel=1e-14, abs=1e-14)
+        # any other shape is refused with a typed error naming d
+        for bad in ([0.1, 0.2, 0.3], np.zeros((4, 3)), np.zeros((2, 4, 2))):
+            with pytest.raises(InvalidPointError, match="2 entries") as info:
+                f(bad)
+            assert isinstance(info.value, MollikitError)
+            assert isinstance(info.value, ValueError)
+
+
+def test_approximation_gap_refuses_bad_radius():
+    s = _known_sample(7, 50)
+    for radius in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(InvalidGridError, match="radius"):
+            approximation_gap(s, check_loss(0.5), A_NORMAL, radius)
 
 
 def test_approximation_gap_nonnegative_and_deterministic():
@@ -256,13 +270,21 @@ def test_pointwise_gap_decays_with_sample_size():
     assert meds[1600] < 0.7 * meds[100]
 
 
+def _minimizer_gap(sample, loss, kernel, m, a):
+    # distance from the smoothed fit (least-squares start) to the
+    # surrogate minimizer, on the surrogate's scale
+    fit = fit_smoothed(sample, loss, kernel, m)
+    return beta_gap(sample, fit.theta_hat,
+                    beta_Q(build_quadratic(sample, loss, a)))[1]
+
+
 def test_minimizer_gap_zero_errors():
     # with zero errors the huber subgradient vanishes at every point, so
     # the score is exactly zero and the fit sits at the truth
     rng = np.random.default_rng(8)
     x = rng.normal(1, 1, 60)
     s = LinearSample(x=x, y=x * 1.0, e=np.zeros(60), theta0=np.array([1.0]))
-    gap = minimizer_gap(s, huber_loss(1.0), bump_kernel(), 10.0, a=1.0)
+    gap = _minimizer_gap(s, huber_loss(1.0), bump_kernel(), 10.0, a=1.0)
     assert gap < 1e-6
 
 
@@ -275,8 +297,8 @@ def test_minimizer_gap_monitored_trend():
         cfg = ExperimentConfig(n=n, replications=60, tau=0.5,
                                error_dist="normal01", m_list=(5.0,),
                                base_seed=321)
-        gaps = [minimizer_gap(generate_sample(cfg, j), check_loss(0.5),
-                              bump_kernel(), 5.0, a) for j in range(60)]
+        gaps = [_minimizer_gap(generate_sample(cfg, j), check_loss(0.5),
+                               bump_kernel(), 5.0, a) for j in range(60)]
         ratios.append(np.mean(gaps) / loglog_scale(n))
     assert ratios[1] < 2.0 * ratios[0]
 
