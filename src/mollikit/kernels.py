@@ -6,8 +6,8 @@ density C*exp(-1/(1-v^2)) on (-1, 1), identically zero outside, with C
 fixed so the density has unit mass; every derivative vanishes at the
 support boundary, which is what makes convolution against it leave a
 loss untouched away from its kinks.
-The bump's C, absolute moments mu1, mu2 and CDF / partial-moment
-tables all come from one Gauss-Legendre pass per process.
+The bump's C, absolute moments mu1, mu2 and CDF / partial-moment /
+excess-moment tables all come from one Gauss-Legendre pass per process.
 """
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ def _bump_raw(v: np.ndarray) -> np.ndarray:
 def bump_normalizer() -> float:
     """Constant C making C*exp(-1/(1-v^2)) a unit-mass density on
     [-1, 1], from the bump table pass (once per process)."""
-    return _bump_pass()[2]
+    return _bump_pass()[3]
 
 
 def kernel_value(kernel: MollifierKernel, v) -> float | np.ndarray:
@@ -92,19 +92,20 @@ def kernel_abs_moment(kernel: MollifierKernel, k: int) -> float:
         raise ValueError("k must be 0, 1 or 2")
     if kernel.kind == GAUSSIAN:
         return (1.0, sqrt(2.0 / pi), 1.0)[k]
-    return _bump_pass()[1][k]
+    return _bump_pass()[2][k]
 
 
 # ---------------------------------------------------------------------------
-# Cumulative kernel integrals.  These back the exact piecewise reduction of
-# the smoothing integrals (see mollify.PartialMomentSmoother): the CDF and
-# the partial moments int_{-inf}^t v^k phi(v) dv for k = 1, 2.  The Gaussian
-# versions are closed form.  The bump versions come from one dense
-# Gauss-Legendre pass per process on a uniform grid, which also gives C,
-# mu1 and mu2; between nodes they are cubic Hermite pieces.  Their node
-# derivatives phi, v*phi and v^2*phi are known exactly, so each piece
-# follows from its two end nodes alone (interpolation error is a few
-# 1e-16 at the grid spacing).
+# Cumulative kernel integrals.  The CDF and the partial moments
+# int_{-inf}^t v^k phi(v) dv for k = 1, 2, and the excess moments
+# E(V - s)_+^k for k = 1, 2 that the smoothed loss's bias is made of (see
+# mollify.PartialMomentSmoother).  The Gaussian versions are closed form.
+# The bump versions come from one dense Gauss-Legendre pass per process on
+# a uniform grid, which also gives C, mu1 and mu2; between nodes they are
+# cubic Hermite pieces.  Their node derivatives (phi, v*phi, v^2*phi, and
+# -(1 - C), -2 E(V - t)_+ for the excess moments) are known exactly, so
+# each piece follows from its two end nodes alone (interpolation error is a
+# few 1e-16 at the grid spacing).
 # ---------------------------------------------------------------------------
 
 _TABLE_POINTS = 8193
@@ -137,8 +138,9 @@ def _cumulative(seg):
 
 @lru_cache(maxsize=1)
 def _bump_pass():
-    """(tables, moments, C): lookup rows of int_{-1}^t v^k phi(v) dv and
-    absolute moments mu_k, by k = 0, 1, 2, and the normalizer C."""
+    """(tables, excess, moments, C): lookup rows of int_{-1}^t v^k phi(v) dv
+    by k = 0, 1, 2, of E(V - t)_+^k by k = 1, 2, the absolute moments mu_k
+    by k = 0, 1, 2, and the normalizer C."""
     grid = np.linspace(-1.0, 1.0, _TABLE_POINTS)
     x, w = np.polynomial.legendre.leggauss(_SEGMENT_NODES)
     lo, hi = grid[:-1], grid[1:]
@@ -158,7 +160,13 @@ def _bump_pass():
     tables = (_hermite_rows(cdf, phi_grid, h),
               _hermite_rows(c * _cumulative(seg1), grid * phi_grid, h),
               _hermite_rows(c * _cumulative(seg2), grid * grid * phi_grid, h))
-    return tables, (1.0, float(mu1), float(mu2)), float(c)
+    # int_t^1 v^k phi(v) dv at the nodes, summed from the top segment down
+    up0, up1, up2 = (c * _cumulative(seg[::-1])[::-1] for seg in (seg0, seg1, seg2))
+    excess1 = up1 - grid * up0
+    excess2 = up2 - 2.0 * grid * up1 + grid * grid * up0
+    excess = (_hermite_rows(excess1, -up0, h),
+              _hermite_rows(excess2, -2.0 * excess1, h))
+    return tables, excess, (1.0, float(mu1), float(mu2)), float(c)
 
 
 def _table_lookup(tables, x: np.ndarray) -> list[np.ndarray]:
@@ -200,6 +208,22 @@ def kernel_integrals(kernel: MollifierKernel, t, ks) -> list[np.ndarray]:
             cap = np.minimum(np.maximum(x, -_NORMAL_CAP), _NORMAL_CAP)
             outs.append(cdf - cap * phi)
     return outs
+
+
+def kernel_excess(kernel: MollifierKernel, s, ks) -> list[np.ndarray]:
+    """Excess moments E(V - s)_+^k of V ~ phi for each k in ks, drawn from
+    (1, 2), at s >= 0: one table row search for both on the bump kernel
+    (0 from s = 1 on), shared Phi(-s) and phi(s) on the Gaussian (0 from
+    s = 40 on, where both round to 0); NaN at NaN."""
+    x = np.asarray(s, dtype=float)
+    if kernel.kind == BUMP:
+        excess = _bump_pass()[1]
+        return _table_lookup([excess[k - 1] for k in ks], x)
+    x = np.minimum(x, _NORMAL_CAP)            # NaN stays NaN
+    tail, phi = _special().ndtr(-x), normal_pdf(x)
+    # E(V - s)_+ = phi - s Phi(-s); E(V - s)_+^2 = (1 + s^2) Phi(-s) - s phi
+    return [phi - x * tail if k == 1 else (1.0 + x * x) * tail - x * phi
+            for k in ks]
 
 
 def kernel_cdf(kernel: MollifierKernel, t) -> float | np.ndarray:

@@ -10,15 +10,17 @@ the scaled kernel m*phi(m.):
 (the second derivative comes from one integration by parts; the
 boundary terms vanish because every kernel derivative does).
 `PartialMomentSmoother` is the smoothed loss, and `terms(u, orders)` is
-its one evaluator: it sums these integrals by parts over the loss
-pieces, so that the orders it returns share one kernel CDF /
-partial-moment lookup per kink and point, and read phi only where a
-subgradient jumps.  `value`, `derivative`, `second_derivative` and
-`curvature_pair` are one call to it each.  Each smoother decides once
-whether its kink distances t = m*(k - u) can overflow (only for m above
-about 1e158), so that ordinary scales never switch numpy's error state.
-`smoothed_loss` returns one such object per (loss, kernel, scale) in the
-process.
+its one evaluator: it writes each order as the loss's own (rho, psi, 0)
+plus the smoothing bias, a sum over the kinks of kernel integrals at
+t = m*(k - u), so that a one-kink value reads one kernel table and the
+orders a caller asks for together share their lookups.  Every bias term
+vanishes past the kernel's reach, so far from the kinks and at +/-inf
+each order is its limit with no special case; t is formed from u
+clipped to +/-1e150, so it stays finite at every scale below about
+1e158, and only a smoother above that scale switches numpy's error
+state.  `value`, `derivative`, `second_derivative` and `curvature_pair`
+are one call to `terms` each.  `smoothed_loss` returns one such object
+per (loss, kernel, scale) in the process.
 
 `integrate_rows` is the module's fixed panel quadrature.  It serves
 `expected_derivative_gap`, which integrates the smoother's derivative
@@ -38,13 +40,14 @@ import numpy as np
 from .distributions import _as_same
 from .errors import InvalidGridError, InvalidScaleError
 # kernel_cdf and kernel_partial_moment: perfbench/tracing.py binds them here
-from .kernels import (MollifierKernel, kernel_cdf, kernel_integrals,  # noqa: F401
+from .kernels import (MollifierKernel, kernel_abs_moment,  # noqa: F401
+                      kernel_cdf, kernel_excess, kernel_integrals,
                       kernel_partial_moment, kernel_value)
 from .losses import (LossSpec, loss_curvature, loss_pieces, loss_subgradient,
                      loss_value)
 
-# |u| past which every order of PartialMomentSmoother.terms is its limit;
-# from _MIN_SCALE on, every kink's t = m*(k - u) is then past |t| = 1e10
+# PartialMomentSmoother.terms forms t = m*(k - u) from u clipped to
+# +/-_FAR; from _MIN_SCALE on, a clipped point's t is still past |t| = 1e10
 _FAR = 1e150
 _MIN_SCALE = 1e-140
 # rows per quadrature pass: its node arrays stay cache-sized, no page faults
@@ -168,15 +171,14 @@ def sup_error(s: PartialMomentSmoother, grid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the smoothed loss: exact piecewise reduction
+# the smoothed loss: the loss plus its bias
 # ---------------------------------------------------------------------------
 
 def check_scale(loss: LossSpec, m: float) -> None:
     """Raise InvalidScaleError unless `loss` can be smoothed at scale m:
-    m finite and at least _MIN_SCALE (below it a point past |u| = _FAR
-    can still lie near a kink in kernel space, so the far rule would
-    not hold), and m times each subgradient jump finite (the second
-    derivative's weights)."""
+    m finite and at least _MIN_SCALE (below it, clipping u to +/-_FAR
+    could move a far point near a kink in kernel space), and m times
+    each subgradient jump finite (the second derivative's weights)."""
     if not _MIN_SCALE <= m < np.inf:
         raise InvalidScaleError(f"smoothing scale must be finite and at "
                                 f"least {_MIN_SCALE:g}, got {m}")
@@ -187,54 +189,51 @@ def check_scale(loss: LossSpec, m: float) -> None:
 
 class PartialMomentSmoother:
     """The smoothed loss: a (loss, kernel, scale) triple whose own methods
-    evaluate the smoothing integrals exactly, by summation by parts.
+    evaluate the smoothing integrals exactly, as the loss plus its bias.
 
-    Catalog losses are piecewise quadratic, so each integral collapses
-    onto kernel CDF C, partial moments P1, P2 and density phi evaluated
-    at the kinks k_i mapped into kernel space, t_i = m*(k_i - u).
-    Summing by parts over the pieces leaves the last piece's
-    coefficients (alpha_K, s_K) against the kernel's unit mass, minus
-    one term per kink carrying the coefficient jumps across it:
+    Catalog losses are piecewise quadratic: at kink k_i the subgradient
+    jumps by a_i and the curvature by b_i.  Each kink maps into kernel
+    space as t_i = m*(k_i - u).  With V ~ phi, the excess moments
+    T1(s) = E(V - s)_+ and T2(s) = E(V - s)_+^2 (`kernel_excess`), and
+    Q(t) = T2(|t|) for t >= 0, mu2 - T2(|t|) for t < 0:
 
-        value  = alpha_K + s_K u
-                 - sum_i [(da_i + ds_i u) C + ds_i P1/m
-                          + dq_i/2 (u^2 C + 2u P1/m + P2/m^2)]
-        deriv  = s_K - sum_i [(ds_i + dq_i u) C + dq_i P1/m]
-        deriv2 = sum_i [m (ds_i + dq_i k_i) phi - dq_i C]
+        value  = rho(u) + sum_i [a_i T1(|t_i|)/m + b_i Q(t_i)/(2 m^2)]
+        deriv  = psi(u) + sum_i [a_i ([t_i > 0] - C(t_i)) + b_i T1(|t_i|)/m]
+        deriv2 = sum_i [a_i m phi(t_i) - b_i C(t_i)]
 
-    (the last line uses t_i + m u = m k_i; ds_i + dq_i k_i is the
-    subgradient jump at k_i).  Terms of q_K and s_K against the kernel
-    totals M1, M2 vanish: every catalog loss is Lipschitz, so linear on
-    its last piece (q_K = 0), and both kernels are symmetric (M1 = 0).
-    `terms` is the one evaluator; the other methods are calls to it.
-    This is algebraically the same object as the quadrature path (the
-    tests pin the two together) but costs one kernel lookup per kink
-    and point, which is what makes Newton iterations over full residual
-    vectors cheap.
+    The sums are the bias rho_m - rho and its derivatives.  In deriv2,
+    b_i (1 - C) sums to -b_i C since the b_i sum to 0: every catalog
+    loss is linear on both outer pieces.  A loss without a quadratic
+    piece has psi(u) + sum_i a_i [t_i > 0] = s_K, its last slope, so its
+    derivative is s_K - sum_i a_i C(t_i).  Every term is bounded and
+    vanishes once |t_i| is past the kernel's reach (1 on the bump, 40 on
+    the Gaussian), so far from every kink, and at +/-inf, the orders are
+    the loss's own rho, psi and 0 by construction.  `terms` is the one
+    evaluator; the other methods are calls to it.  It is the same object
+    as the quadrature path (the tests pin the two together), but a
+    one-kink value costs one kernel table lookup per point, which is what
+    makes Newton iterations over full residual vectors cheap.
     """
 
     def __init__(self, loss: LossSpec, kernel: MollifierKernel, m: float):
         check_scale(loss, m)
         self.loss = loss
         self.kernel = kernel
-        self.m = float(m)
+        self.m = m = float(m)
         pieces = np.array(loss_pieces(loss))     # rows (lo, hi, alpha, slope, quad)
         kinks = pieces[1:, 0]
         self._kinks = kinks[:, None]
-        self._alpha, self._slope = pieces[-1, 2:4]
-        self._d_alpha, self._d_slope, self._d_quad = np.diff(pieces[:, 2:], axis=0).T
-        self._d_psi = self.m * (self._d_slope + self._d_quad * kinks)
-        self._has_jump = bool(np.any(self._d_psi))
-        self._has_quad = bool(np.any(pieces[:, 4]))
-        # orders[0] reads the most kernel integrals (C, P1, P2): the value
-        # reads C, P1 and P2 on a quadratic piece, and each further order
-        # one table fewer
-        need = (3, 2, 1) if self._has_quad else (2, 1, 0)
-        self._reads = tuple((0, 1, 2)[:n] for n in need)
-        # t = m*(k - u) can overflow for |u| <= _FAR only at m above about
-        # 1e158, and only then does `terms` silence numpy's overflow
-        # warning; Python floats overflow to inf quietly
-        self._t_overflows = not isfinite(self.m * (max(map(abs, loss.kinks)) + _FAR))
+        self._slope = pieces[-1, 3]
+        _, d_slope, self._d_quad = np.diff(pieces[:, 2:], axis=0).T
+        self._jump = d_slope + self._d_quad * kinks
+        self._d_psi = m * self._jump
+        self._jump_m = self._jump / m
+        self._mu2 = kernel_abs_moment(kernel, 2)
+        self._quad = bool(np.any(pieces[:, 4]))
+        # t = m*(k - u) with |u| clipped to _FAR can overflow only at m
+        # above about 1e158, and only then does `terms` silence numpy's
+        # overflow warning; Python floats overflow to inf quietly
+        self._t_overflows = not isfinite(m * (max(map(abs, loss.kinks)) + _FAR))
         # bounds |second derivative|: |dq_i C| <= |dq_i| and phi <= phi(0)
         self.curvature_bound = (sum(map(abs, self._d_psi.tolist()))
                                 * kernel_value(kernel, 0.0)
@@ -242,55 +241,56 @@ class PartialMomentSmoother:
 
     def terms(self, u, orders: tuple[int, ...]) -> tuple:
         """The derivatives of the given orders at u (0 is the value), from
-        one kernel lookup; orders is an increasing tuple drawn from
-        (0, 1, 2).  Each is a float for scalar u, else an array.  Past
-        |u| = _FAR every order is its limit, far from every kink: the
-        loss, its subgradient and 0."""
+        one kernel lookup at |t| and one at t; orders is an increasing
+        tuple drawn from (0, 1, 2).  Each is a float for scalar u, else an
+        array.  Far from every kink, and at +/-inf, every order is its
+        limit: the loss, its subgradient and 0."""
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 0
         if scalar:
             arr = arr.reshape(1)
-        # one reduction finds whether any point is far or NaN; the mask
-        # below leaves a NaN near, evaluated as an ordinary point
-        any_far = not np.abs(arr).max(initial=0.0) <= _FAR
-        if any_far:
-            far = np.abs(arr) > _FAR
-            # the sums meet inf - inf at +/-inf, and a quadratic piece's
-            # u^2 terms overflow past ~1.3e154: far points are evaluated at 0
-            x = np.where(far, 0.0, arr)
-        else:
-            x = arr
+        # t comes from u clipped to +/-_FAR (NaN stays NaN), still past
+        # every kernel's reach since m >= _MIN_SCALE
+        x = np.minimum(np.maximum(arr, -_FAR), _FAR)
         m = self.m
+        t = self._kinks - x
         if self._t_overflows:
             with np.errstate(over="ignore"):     # t = +/-inf is the exact limit
-                t = m * (self._kinks - x)
+                t *= m
         else:
-            t = m * (self._kinks - x)
-        ks = self._reads[orders[0]]
-        tab = kernel_integrals(self.kernel, t, ks) if ks else ()
+            t *= m
+        # every catalog loss has subgradient jumps (abs, check, relu) or a
+        # quadratic piece (Huber), never both, so each order reads one
+        # kernel integral: T1, C and phi for orders 0, 1 and 2 of the
+        # first kind, T2, T1 and C for Huber
+        if self._quad:
+            ks = ((1,) if 1 in orders else ()) + ((2,) if 0 in orders else ())
+            with_cdf = 2 in orders
+        else:
+            ks = (1,) if 0 in orders else ()
+            with_cdf = 1 in orders
+        excess = (dict(zip(ks, kernel_excess(self.kernel, np.abs(t), ks)))
+                  if ks else None)
+        cdf = kernel_integrals(self.kernel, t, (0,))[0] if with_cdf else None
         out = []
         for order in orders:
-            if order == 0:
-                cdf, pm1 = tab[0], tab[1] / m
-                ucdf = x * cdf
-                res = (self._alpha + self._slope * x
-                       - self._d_alpha @ cdf - self._d_slope @ (ucdf + pm1))
-                if self._has_quad:
-                    res -= 0.5 * (self._d_quad @ (x * (ucdf + 2.0 * pm1)
-                                                  + tab[2] / (m * m)))
+            if order == 0 and self._quad:
+                # scaled after the sum, so that the bias inside the
+                # quadratic piece, mu2 / (2 m^2), is correctly rounded
+                t2 = excess[2]
+                q = np.where(t < 0.0, self._mu2 - t2, t2)
+                res = loss_value(self.loss, arr) + self._d_quad.dot(q) / (2.0 * m * m)
+            elif order == 0:
+                res = loss_value(self.loss, arr) + self._jump_m.dot(excess[1])
+            elif order == 1 and self._quad:
+                res = loss_subgradient(self.loss, arr) + self._d_quad.dot(excess[1]) / m
             elif order == 1:
-                res = self._slope - self._d_slope @ tab[0]
-                if self._has_quad:
-                    res -= self._d_quad @ (x * tab[0] + tab[1] / m)
+                # psi(u) + sum_i a_i [t_i > 0] is the last slope at every u
+                res = self._slope - self._jump.dot(cdf)
+            elif self._quad:
+                res = -self._d_quad.dot(cdf)
             else:
-                res = (self._d_psi @ kernel_value(self.kernel, t)
-                       if self._has_jump else 0.0)
-                if self._has_quad:
-                    res = res - self._d_quad @ tab[0]
-            if any_far:
-                limit = (loss_value(self.loss, arr) if order == 0 else
-                         loss_subgradient(self.loss, arr) if order == 1 else 0.0)
-                res = np.where(far, limit, res)
+                res = self._d_psi.dot(kernel_value(self.kernel, t))
             out.append(res)
         if scalar:
             out = [_as_same(u, r) for r in out]
@@ -306,7 +306,7 @@ class PartialMomentSmoother:
         return self.terms(u, (2,))[0]
 
     def curvature_pair(self, u) -> tuple:
-        """(derivative, second derivative) from one kernel lookup."""
+        """(derivative, second derivative) from one call to `terms`."""
         return self.terms(u, (1, 2))
 
 

@@ -1,8 +1,9 @@
 """Independent references the tests compare the library against.
 
-The library evaluates the smoothed loss's derivatives exactly, by
-summation by parts (`mollify.PartialMomentSmoother`).  These are the
-same integrals by kink-split panel quadrature over the kernel:
+The library evaluates the smoothed loss's derivatives exactly, as the
+loss's subgradient (or 0) plus the smoothing bias, from kernel
+integrals at the kinks (`mollify.PartialMomentSmoother`).  These are
+the same integrals by kink-split panel quadrature over the kernel:
 
     deriv(u)  = int psi(u + v/m) phi(v) dv
     deriv2(u) = -m * int psi(u + v/m) phi'(v) dv

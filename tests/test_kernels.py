@@ -8,8 +8,9 @@ from scipy.integrate import quad
 
 from mollikit.kernels import (MollifierKernel, bump_kernel, bump_normalizer,
                               gaussian_kernel, kernel_abs_moment, kernel_cdf,
-                              kernel_integrals, kernel_partial_moment,
-                              kernel_value, parse_kernel)
+                              kernel_excess, kernel_integrals,
+                              kernel_partial_moment, kernel_value,
+                              parse_kernel)
 
 from reference import integrate, kernel_derivative
 
@@ -173,6 +174,37 @@ def test_cdf_and_partial_moments_against_quadrature():
                                  breaks, target=1e-14)
             assert kernel_partial_moment(BUMP, t, k) == pytest.approx(
                 direct_k, abs=1e-12)
+
+
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
+def test_excess_moments_against_quadrature(kern):
+    # E(V - s)_+^k = int_s^inf (v - s)^k phi(v) dv, the smoothed loss's
+    # bias; at s = 0 it is mu_k / 2 by symmetry, and from the kernel's
+    # reach on (1 on the bump, 40 on the Gaussian) it is exactly 0
+    reach = 1.0 if kern == BUMP else 40.0
+    top = 1.0 if kern == BUMP else 12.0
+    s = np.concatenate([np.linspace(0.0, 0.999, 23), [0.5 + 2.0**-13, 0.9999]])
+    if kern == GAUSS:
+        s = np.concatenate([s, [1.5, 3.0, 7.0]])
+    got = kernel_excess(kern, s, (1, 2))
+    for i, x in enumerate(s.tolist()):
+        breaks = sorted({x, top} | {b for b in (0.99,) if x < b < top})
+        for k in (1, 2):
+            direct = integrate(lambda v: (v - x)**k * kernel_value(kern, v),
+                               breaks, target=1e-15)
+            assert got[k - 1][i] == pytest.approx(direct, abs=1e-15)
+    for k in (1, 2):
+        half = 0.5 * kernel_abs_moment(kern, k)
+        (at_zero,) = kernel_excess(kern, 0.0, (k,))
+        assert abs(at_zero - half) <= 2.0 * np.spacing(half)
+    far = np.array([reach, 2.0 * reach, 1e300, np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t1, t2 = kernel_excess(kern, far, (1, 2))
+        (alone,) = kernel_excess(kern, far, (2,))
+    for out in (t1, t2):
+        assert np.array_equal(out[:4], np.zeros(4)) and np.isnan(out[4])
+    assert np.array_equal(alone, t2, equal_nan=True)
 
 
 def test_cdf_limits_and_symmetry():

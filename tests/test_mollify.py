@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 
-from mollikit import mollify
+from mollikit import kernels, mollify
 from mollikit.distributions import (ErrorDensity, normal_pdf, standard_normal,
                                     t4_pdf)
 from mollikit.errors import InvalidGridError, InvalidScaleError
@@ -343,6 +343,72 @@ def test_exactness_region():
     assert np.max(gap) < 1e-10
 
 
+@pytest.mark.parametrize("m", [5.0, 20.0, 80.0])
+@pytest.mark.parametrize("loss", CATALOG, ids=lambda lo: lo.label)
+def test_bump_value_is_the_loss_outside_the_kink_bands(loss, m):
+    # the value is the loss plus its bias, and on the bump every bias
+    # term is exactly 0 where the loss is linear on [u - 1/m, u + 1/m]:
+    # there the value is the loss itself, bit for bit
+    s = PartialMomentSmoother(loss, BUMP, m)
+    grid = np.linspace(-3.0, 3.0, 6001)
+    gap = np.min(np.abs(grid[:, None] - np.array(loss.kinks)), axis=1)
+    linear = gap > 1.0 / m + 1e-12
+    if loss.kind == "huber":
+        linear &= np.abs(grid) > 1.0
+    pts = grid[linear]
+    assert s.value(pts).tobytes() == loss_value(loss, pts).tobytes()
+    if loss.kind == "huber":
+        # inside the quadratic piece the bias is mu2 / (2 m^2) (to 1 ulp)
+        inside = grid[np.abs(grid) < 1.0 - 1.0 / m - 1e-12]
+        value = s.value(inside)
+        mu2 = kernel_abs_moment(BUMP, 2)
+        want = loss_value(loss, inside) + mu2 / (2.0 * m * m)
+        assert np.all(np.abs(value - want) <= np.spacing(value))
+
+
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=lambda k: k.kind)
+@pytest.mark.parametrize("loss", [absolute_loss(), check_loss(0.3), relu_loss()],
+                         ids=lambda lo: lo.label)
+def test_value_at_the_kink_is_the_loss_plus_a_mu1_over_2m(loss, kern):
+    # at the kink the bias is a * E(V)_+ / m = a mu1 / (2m), with a the
+    # subgradient jump; for abs (a = 2, L = 1) that is the paper's bound
+    # L mu1 / m, attained
+    (kink,) = loss.kinks
+    a = loss_subgradient(loss, kink) - loss_subgradient(loss, kink - 1.0)
+    mu1 = kernel_abs_moment(kern, 1)
+    for m in (5.0, 80.0):
+        bias = PartialMomentSmoother(loss, kern, m).value(kink) - loss_value(loss, kink)
+        want = a * mu1 / (2.0 * m)
+        assert abs(bias - want) <= 4.0 * np.spacing(want)
+
+
+@pytest.mark.parametrize("loss", [absolute_loss(), check_loss(0.3), relu_loss()],
+                         ids=lambda lo: lo.label)
+def test_one_kink_bump_calls_read_one_table(loss, monkeypatch):
+    # a one-kink value reads E(V - s)_+ alone; the curvature pair reads
+    # the CDF and the density
+    reads, densities = [], []
+    lookup, density = kernels._table_lookup, mollify.kernel_value
+
+    def counting_lookup(tables, x):
+        reads.append(len(tables))
+        return lookup(tables, x)
+
+    def counting_density(kernel, v):
+        densities.append(np.size(v))
+        return density(kernel, v)
+
+    s = PartialMomentSmoother(loss, BUMP, 20.0)
+    u = np.linspace(-0.2, 0.2, 101)
+    monkeypatch.setattr(kernels, "_table_lookup", counting_lookup)
+    monkeypatch.setattr(mollify, "kernel_value", counting_density)
+    s.value(u)
+    assert reads == [1] and densities == []
+    reads.clear()
+    s.curvature_pair(u)
+    assert reads == [1] and densities == [u.size]
+
+
 def test_pointwise_derivative_convergence():
     for loss in CATALOG:
         for kern in (BUMP, GAUSS):
@@ -476,6 +542,24 @@ def test_smoother_far_arguments_are_quiet(kern):
                 assert np.array_equal(got[[1, 4]], fn(mixed[[1, 4]]))
                 assert np.array_equal(got[[0, 2]], limit(loss, mixed[[0, 2]]))
                 assert np.isnan(got[3])
+
+
+@pytest.mark.parametrize("kern", [GAUSS, BUMP], ids=["gaussian", "bump"])
+def test_kink_distances_come_from_clipped_arguments(kern):
+    # m*(k - u) would overflow at u = +/-1.7e308 (and at +/-1e300 for
+    # m = 1e10); it is formed from u clipped to +/-1e150, which is still
+    # far from every kink, so each order is its limit, quietly
+    u = np.array([1e300, -1e300, 1.7e308, -1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (80.0, 1e10):
+            for loss in CATALOG:
+                s = PartialMomentSmoother(loss, kern, m)
+                value, grad, curv = s.terms(u, (0, 1, 2))
+                assert np.array_equal(value, loss_value(loss, u))
+                assert np.array_equal(grad, loss_subgradient(loss, u))
+                assert np.array_equal(curv, np.zeros(u.shape))
+                assert all(s.value(x) == loss_value(loss, x) for x in u)
 
 
 @pytest.mark.parametrize("kern", [GAUSS, BUMP], ids=["gaussian", "bump"])
