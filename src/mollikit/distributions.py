@@ -42,7 +42,9 @@ class ErrorDensity:
 
 def _as_same(template, arr):
     """Return arr as a float if template was scalar, else as ndarray."""
-    return np.asarray(arr, dtype=float).item() if np.ndim(template) == 0 else arr
+    if isinstance(template, np.ndarray) and template.ndim or np.ndim(template):
+        return arr
+    return np.asarray(arr, dtype=float).item()
 
 
 def normal_pdf(x):

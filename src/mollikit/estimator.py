@@ -26,6 +26,9 @@ _MAX_ITER = 200
 _GRAD_TOL = 1e-9           # per observation, on the gradient's max norm
 _RIDGE = 1e-10
 _ARMIJO = 1e-4
+# near the optimum the objective is flat at double precision, so the
+# Armijo test carries a rounding allowance proportional to its size
+_NOISE = 64.0 * np.finfo(float).eps
 _MAX_BACKTRACKS = 60
 
 
@@ -73,8 +76,7 @@ class LinearSample:
         if self.theta0 is not None and self.theta0.size != d:
             raise ValueError("theta0 must have one entry per regressor")
         if self.e is not None and self.theta0 is not None:
-            if not np.allclose(y, self.x @ self.theta0 + self.e,
-                               rtol=0.0, atol=1e-9):
+            if not np.abs(y - (self.x @ self.theta0 + self.e)).max() <= 1e-9:
                 raise ValueError("y does not equal x @ theta0 + e")
 
     @property
@@ -123,6 +125,14 @@ def _dgesv():
     return dgesv
 
 
+@lru_cache(maxsize=8)
+def _ridge(d: int) -> np.ndarray:
+    """_RIDGE * I_d, built once per dimension and read-only."""
+    ridge = _RIDGE * np.eye(d)
+    ridge.setflags(write=False)
+    return ridge
+
+
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with a @ x = b, by LAPACK's dgesv: np.linalg.solve's answer bit
     for bit, without its wrapper's overhead.  Raises LinAlgError when a
@@ -169,14 +179,10 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
     if not isfinite(n * sample._max_x2 * smoother.curvature_bound):
         raise InvalidScaleError(f"smoothing scale {m:g} is too large for this "
                                 "design: the Hessian's bound overflows")
-    ridge = _RIDGE * np.eye(d)
-
     resid = y - x @ theta
     obj = float(smoother.value(resid).sum())
     tol = _GRAD_TOL * n
-    # near the optimum the objective is flat at double precision, so the
-    # Armijo test carries a rounding allowance proportional to its size
-    noise = 64.0 * np.finfo(float).eps * (1.0 + abs(obj))
+    noise = _NOISE * (1.0 + abs(obj))
     converged = False
     it = backtracks = fallbacks = 0
     while True:
@@ -189,7 +195,7 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
         if it >= _MAX_ITER:
             break
         it += 1
-        hess = x.T @ (x * weights[:, None]) + ridge
+        hess = x.T @ (x * weights[:, None]) + _ridge(d)
         step = _solve(hess, -grad)
         slope = float(grad @ step)
         if slope >= 0.0:           # numerical breakdown: fall back to steepest descent

@@ -36,6 +36,12 @@ class MollifierKernel:
         if self.kind not in (GAUSSIAN, BUMP):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
+    @property
+    def reach(self) -> float:
+        """|t| from which phi and every kernel integral are their limits
+        exactly, a few ulp short of it too: 1 on the bump, 40 on the Gaussian."""
+        return 1.0 if self.kind == BUMP else _NORMAL_CAP
+
 
 def gaussian_kernel() -> MollifierKernel:
     return MollifierKernel(GAUSSIAN)
@@ -170,10 +176,9 @@ def _bump_pass():
 
 
 def _table_lookup(tables, x: np.ndarray) -> list[np.ndarray]:
-    """Evaluate bump tables at x from one row search; each is 0 below
-    -1, its total above 1 and NaN at NaN."""
-    pos = np.minimum(np.maximum(x, -1.0), 1.0)    # NaN stays NaN
-    pos += 1.0
+    """Evaluate bump tables from one row search at x in [-1, 1] (or a few
+    ulp past), or NaN; no clamp: the public callers clamp to the reach."""
+    pos = x + 1.0
     pos *= _TABLE_SCALE
     # fmax sends NaN to row 0, where the NaN offset still reaches the result
     idx = np.fmax(pos, 0.0).astype(np.intp)
@@ -188,42 +193,43 @@ def _table_lookup(tables, x: np.ndarray) -> list[np.ndarray]:
     return outs
 
 
-def kernel_integrals(kernel: MollifierKernel, t, ks) -> list[np.ndarray]:
-    """Partial moments int_{-inf}^t v^k phi(v) dv for each k in ks, with
-    k = 0 the CDF: one table row search for all of them on the bump
-    kernel, shared Phi and phi on the Gaussian (accepts +/-inf)."""
-    x = np.asarray(t, dtype=float)
+def _integrals(kernel: MollifierKernel, x: np.ndarray, ks) -> list[np.ndarray]:
+    """`kernel_integrals` at x within the reach (or a few ulp past), or NaN."""
     if kernel.kind == BUMP:
         tables = _bump_pass()[0]
         return _table_lookup([tables[k] for k in ks], x)
     cdf = _special().ndtr(x) if 0 in ks or 2 in ks else None
     phi = normal_pdf(x) if 1 in ks or 2 in ks else None
-    outs = []
-    for k in ks:                              # P1 = -phi; P2 = Phi - t*phi
-        if k == 0:
-            outs.append(cdf)
-        elif k == 1:
-            outs.append(-phi)
-        else:                                 # phi is 0 past the cap
-            cap = np.minimum(np.maximum(x, -_NORMAL_CAP), _NORMAL_CAP)
-            outs.append(cdf - cap * phi)
-    return outs
+    # P1 = -phi; P2 = Phi - t*phi
+    return [cdf if k == 0 else -phi if k == 1 else cdf - x * phi for k in ks]
 
 
-def kernel_excess(kernel: MollifierKernel, s, ks) -> list[np.ndarray]:
-    """Excess moments E(V - s)_+^k of V ~ phi for each k in ks, drawn from
-    (1, 2), at s >= 0: one table row search for both on the bump kernel
-    (0 from s = 1 on), shared Phi(-s) and phi(s) on the Gaussian (0 from
-    s = 40 on, where both round to 0); NaN at NaN."""
-    x = np.asarray(s, dtype=float)
+def kernel_integrals(kernel: MollifierKernel, t, ks) -> list[np.ndarray]:
+    """Partial moments int_{-inf}^t v^k phi(v) dv for each k in ks, with
+    k = 0 the CDF: one table row search for all of them on the bump
+    kernel, shared Phi and phi on the Gaussian (accepts +/-inf and NaN)."""
+    x, r = np.asarray(t, dtype=float), kernel.reach       # NaN stays NaN
+    return _integrals(kernel, np.minimum(np.maximum(x, -r), r), ks)
+
+
+def _excess(kernel: MollifierKernel, x: np.ndarray, ks) -> list[np.ndarray]:
+    """`kernel_excess` at x in [0, reach] (or a few ulp past), or NaN."""
     if kernel.kind == BUMP:
         excess = _bump_pass()[1]
         return _table_lookup([excess[k - 1] for k in ks], x)
-    x = np.minimum(x, _NORMAL_CAP)            # NaN stays NaN
     tail, phi = _special().ndtr(-x), normal_pdf(x)
     # E(V - s)_+ = phi - s Phi(-s); E(V - s)_+^2 = (1 + s^2) Phi(-s) - s phi
     return [phi - x * tail if k == 1 else (1.0 + x * x) * tail - x * phi
             for k in ks]
+
+
+def kernel_excess(kernel: MollifierKernel, s, ks) -> list[np.ndarray]:
+    """Excess moments E(V - s)_+^k of V ~ phi for each k in ks, drawn from
+    (1, 2), at s >= 0: one table row search for both on the bump kernel,
+    shared Phi(-s) and phi(s) on the Gaussian; exactly 0 from the reach
+    on (accepts +inf) and NaN at NaN."""
+    x, r = np.asarray(s, dtype=float), kernel.reach       # NaN stays NaN
+    return _excess(kernel, np.minimum(np.maximum(x, -r), r), ks)
 
 
 def kernel_cdf(kernel: MollifierKernel, t) -> float | np.ndarray:

@@ -123,16 +123,17 @@ def loss_value(loss: LossSpec, u) -> float | np.ndarray:
 
 
 def loss_subgradient(loss: LossSpec, u) -> float | np.ndarray:
-    """Right-continuous subgradient selection psi(u)."""
+    """Right-continuous subgradient selection psi(u); NaN at NaN."""
     x = np.asarray(u, dtype=float)
+    if loss.kind == HUBER:
+        return _as_same(u, np.clip(x, -loss.c, loss.c))
+    step = np.heaviside(x, 1.0)         # [x >= 0], and NaN at NaN
     if loss.kind == ABSOLUTE:
-        out = np.where(x >= 0, 1.0, -1.0)
+        out = 2.0 * step - 1.0
     elif loss.kind == CHECK:
-        out = loss.tau - (x < 0)
-    elif loss.kind == RELU:
-        out = (x >= 0).astype(float)
+        out = loss.tau - (1.0 - step)
     else:
-        out = np.clip(x, -loss.c, loss.c)
+        out = step
     return _as_same(u, out)
 
 

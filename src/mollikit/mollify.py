@@ -15,11 +15,11 @@ plus the smoothing bias, a sum over the kinks of kernel integrals at
 t = m*(k - u), so that a one-kink value reads one kernel table and the
 orders a caller asks for together share their lookups.  Every bias term
 vanishes past the kernel's reach, so far from the kinks and at +/-inf
-each order is its limit with no special case; t is formed from u
-clipped to +/-1e150, so it stays finite at every scale below about
-1e158, and only a smoother above that scale switches numpy's error
-state.  `value`, `derivative`, `second_derivative` and `curvature_pair`
-are one call to `terms` each.  `smoothed_loss` returns one such object
+each order is its limit with no special case; each kink distance k - u
+is clipped to the reach over m before it is scaled, so t is finite at
+every scale and no smoother switches numpy's error state.  `value`,
+`derivative`, `second_derivative` and `curvature_pair` are one call to
+`terms` each.  `smoothed_loss` returns one such object
 per (loss, kernel, scale) in the process.
 
 `integrate_rows` is the module's fixed panel quadrature.  It serves
@@ -40,14 +40,14 @@ import numpy as np
 from .distributions import _as_same
 from .errors import InvalidGridError, InvalidScaleError
 # kernel_cdf and kernel_partial_moment: perfbench/tracing.py binds them here
-from .kernels import (MollifierKernel, kernel_abs_moment,  # noqa: F401
-                      kernel_cdf, kernel_excess, kernel_integrals,
-                      kernel_partial_moment, kernel_value)
+from .kernels import (MollifierKernel, _excess, _integrals,  # noqa: F401
+                      kernel_abs_moment, kernel_cdf, kernel_partial_moment,
+                      kernel_value)
 from .losses import (LossSpec, loss_curvature, loss_pieces, loss_subgradient,
                      loss_value)
 
-# PartialMomentSmoother.terms forms t = m*(k - u) from u clipped to
-# +/-_FAR; from _MIN_SCALE on, a clipped point's t is still past |t| = 1e10
+# smooth_value takes the loss itself past |u| = _FAR; from _MIN_SCALE on,
+# such a point is still past |t| = 1e10 from every kink in kernel space
 _FAR = 1e150
 _MIN_SCALE = 1e-140
 # rows per quadrature pass: its node arrays stay cache-sized, no page faults
@@ -176,9 +176,10 @@ def sup_error(s: PartialMomentSmoother, grid) -> float:
 
 def check_scale(loss: LossSpec, m: float) -> None:
     """Raise InvalidScaleError unless `loss` can be smoothed at scale m:
-    m finite and at least _MIN_SCALE (below it, clipping u to +/-_FAR
-    could move a far point near a kink in kernel space), and m times
-    each subgradient jump finite (the second derivative's weights)."""
+    m finite and at least _MIN_SCALE (below it, `smooth_value`'s far
+    mask, which takes the loss itself past |u| = _FAR, could catch a
+    point still within the kernel's reach of a kink), and m times each
+    subgradient jump finite (the second derivative's weights)."""
     if not _MIN_SCALE <= m < np.inf:
         raise InvalidScaleError(f"smoothing scale must be finite and at "
                                 f"least {_MIN_SCALE:g}, got {m}")
@@ -207,8 +208,12 @@ class PartialMomentSmoother:
     piece has psi(u) + sum_i a_i [t_i > 0] = s_K, its last slope, so its
     derivative is s_K - sum_i a_i C(t_i).  Every term is bounded and
     vanishes once |t_i| is past the kernel's reach (1 on the bump, 40 on
-    the Gaussian), so far from every kink, and at +/-inf, the orders are
-    the loss's own rho, psi and 0 by construction.  `terms` is the one
+    the Gaussian, `MollifierKernel.reach`), so far from every kink, and
+    at +/-inf, the orders are the loss's own rho, psi and 0 by
+    construction.  So `terms` clips each distance k_i - u to +/- reach/m
+    before scaling it: a far t_i is then the reach to a few ulp, where
+    the kernel lookups already read their limits, t is finite at every
+    m, and the lookups need no clamp of their own.  `terms` is the one
     evaluator; the other methods are calls to it.  It is the same object
     as the quadrature path (the tests pin the two together), but a
     one-kink value costs one kernel table lookup per point, which is what
@@ -230,10 +235,8 @@ class PartialMomentSmoother:
         self._jump_m = self._jump / m
         self._mu2 = kernel_abs_moment(kernel, 2)
         self._quad = bool(np.any(pieces[:, 4]))
-        # t = m*(k - u) with |u| clipped to _FAR can overflow only at m
-        # above about 1e158, and only then does `terms` silence numpy's
-        # overflow warning; Python floats overflow to inf quietly
-        self._t_overflows = not isfinite(m * (max(map(abs, loss.kinks)) + _FAR))
+        # the kernel's reach in u-space: kink distances are clipped to it
+        self._reach_m = kernel.reach / m
         # bounds |second derivative|: |dq_i C| <= |dq_i| and phi <= phi(0)
         self.curvature_bound = (sum(map(abs, self._d_psi.tolist()))
                                 * kernel_value(kernel, 0.0)
@@ -246,19 +249,13 @@ class PartialMomentSmoother:
         array.  Far from every kink, and at +/-inf, every order is its
         limit: the loss, its subgradient and 0."""
         arr = np.asarray(u, dtype=float)
-        scalar = arr.ndim == 0
-        if scalar:
-            arr = arr.reshape(1)
-        # t comes from u clipped to +/-_FAR (NaN stays NaN), still past
-        # every kernel's reach since m >= _MIN_SCALE
-        x = np.minimum(np.maximum(arr, -_FAR), _FAR)
-        m = self.m
-        t = self._kinks - x
-        if self._t_overflows:
-            with np.errstate(over="ignore"):     # t = +/-inf is the exact limit
-                t *= m
-        else:
-            t *= m
+        # t = m*(k - u) from k - u clipped to the reach (NaN stays NaN): a
+        # far t is the reach to a few ulp, finite at every scale
+        m, r = self.m, self._reach_m
+        t = self._kinks - arr
+        np.maximum(t, -r, out=t)
+        np.minimum(t, r, out=t)
+        t *= m
         # every catalog loss has subgradient jumps (abs, check, relu) or a
         # quadratic piece (Huber), never both, so each order reads one
         # kernel integral: T1, C and phi for orders 0, 1 and 2 of the
@@ -269,9 +266,8 @@ class PartialMomentSmoother:
         else:
             ks = (1,) if 0 in orders else ()
             with_cdf = 1 in orders
-        excess = (dict(zip(ks, kernel_excess(self.kernel, np.abs(t), ks)))
-                  if ks else None)
-        cdf = kernel_integrals(self.kernel, t, (0,))[0] if with_cdf else None
+        excess = dict(zip(ks, _excess(self.kernel, np.abs(t), ks))) if ks else None
+        cdf = _integrals(self.kernel, t, (0,))[0] if with_cdf else None
         out = []
         for order in orders:
             if order == 0 and self._quad:
@@ -292,8 +288,8 @@ class PartialMomentSmoother:
             else:
                 res = self._d_psi.dot(kernel_value(self.kernel, t))
             out.append(res)
-        if scalar:
-            out = [_as_same(u, r) for r in out]
+        if arr.ndim == 0:
+            out = [_as_same(u, res) for res in out]
         return tuple(out)
 
     def value(self, u) -> float | np.ndarray:

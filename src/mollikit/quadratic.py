@@ -128,7 +128,8 @@ def beta_gap(sample: LinearSample, theta_hat: np.ndarray,
     surrogate minimizer; the summand averaged by the MAD tables."""
     sample.require_truth()
     beta_m = sqrt(sample.n) * (theta_hat - sample.theta0)
-    return beta_m, float(np.linalg.norm(beta_m - beta_q))
+    diff = beta_m - beta_q
+    return beta_m, sqrt(diff.dot(diff))     # np.linalg.norm's bits, on 1-D
 
 
 def loglog_scale(n: int) -> float:

@@ -110,6 +110,20 @@ def test_sample_truth_consistency_accepted():
     assert np.allclose(s.y - s.x @ s.theta0, s.e, rtol=0, atol=1e-12)
 
 
+def test_sample_truth_consistency_boundary():
+    # y may differ from x @ theta0 + e by at most 1e-9 in every entry
+    x = np.array([1.0, 2.0, -3.0])
+    e = np.array([0.1, -0.2, 0.3])
+    theta0 = np.array([0.5])
+    y = x * 0.5 + e
+    for sign in (1.0, -1.0):
+        LinearSample(x=x, y=y + sign * np.array([0.0, 0.5e-9, 0.0]), e=e,
+                     theta0=theta0)
+        with pytest.raises(ValueError, match="does not equal"):
+            LinearSample(x=x, y=y + sign * np.array([0.0, 0.0, 2e-9]), e=e,
+                         theta0=theta0)
+
+
 def test_samples_compare_and_hash_by_identity():
     # equal arrays do not make equal samples, and neither == nor hash
     # looks at the arrays

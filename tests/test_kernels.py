@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from mollikit import kernels
 from mollikit.kernels import (MollifierKernel, bump_kernel, bump_normalizer,
                               gaussian_kernel, kernel_abs_moment, kernel_cdf,
                               kernel_excess, kernel_integrals,
@@ -205,6 +206,33 @@ def test_excess_moments_against_quadrature(kern):
     for out in (t1, t2):
         assert np.array_equal(out[:4], np.zeros(4)) and np.isnan(out[4])
     assert np.array_equal(alone, t2, equal_nan=True)
+
+
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
+def test_integrals_are_their_limits_from_just_short_of_the_reach(kern):
+    # the smoother clips each kink distance to the reach r and reads the
+    # unclamped lookups at t = m * (r / m), which rounds to r * (1 +/- ulp);
+    # there, and on the bump from |t| = 1 - 2**-11 = 0.999512 on (its two
+    # outermost table rows on each side), every table row and closed form
+    # must be its limit already, bit for bit
+    r = kern.reach
+    edge = r * (1.0 + np.array([-2.0, -1.0, -0.5, 0.0, 1.0, 2.0]) * 2.0**-52)
+    if kern == BUMP:
+        edge = np.concatenate([np.linspace(1.0 - 2.0**-11, 1.0, 2001), edge])
+    t = np.concatenate([edge, -edge])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels._integrals(kern, t, (0, 1, 2))
+        limits = kernel_integrals(kern, np.copysign(np.inf, t), (0, 1, 2))
+        t1, t2 = kernels._excess(kern, edge, (1, 2))
+        phi = kernel_value(kern, t)
+    assert np.array_equal(got[0], (t > 0.0).astype(float))
+    for out, limit in zip(got, limits):
+        assert np.array_equal(out, limit)
+    assert np.all(t1 == 0.0) and np.all(t2 == 0.0) and np.all(phi == 0.0)
+    # the public functions clamp first, so they take +/-inf and NaN
+    assert np.array_equal(kernel_excess(kern, np.inf, (1, 2)), [0.0, 0.0])
+    assert np.isnan(kernel_excess(kern, np.nan, (1,))[0])
 
 
 def test_cdf_limits_and_symmetry():

@@ -36,6 +36,17 @@ def test_subgradient_examples():
     assert loss_subgradient(relu_loss(), 0.0) == 1.0
 
 
+def test_subgradient_is_nan_at_nan():
+    # like the loss value and the smoother's derivative, the subgradient
+    # selection passes NaN on; the other entries are unaffected
+    u = np.array([np.nan, -2.0, 0.0, 3.0])
+    for loss in ALL_LOSSES:
+        assert np.isnan(loss_subgradient(loss, np.nan))
+        got = loss_subgradient(loss, u)
+        assert np.isnan(got[0])
+        assert np.array_equal(got[1:], [loss_subgradient(loss, v) for v in u[1:]])
+
+
 def test_lipschitz_constants():
     assert absolute_loss().lipschitz == 1.0
     assert check_loss(0.3).lipschitz == 0.7

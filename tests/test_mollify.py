@@ -547,8 +547,8 @@ def test_smoother_far_arguments_are_quiet(kern):
 @pytest.mark.parametrize("kern", [GAUSS, BUMP], ids=["gaussian", "bump"])
 def test_kink_distances_come_from_clipped_arguments(kern):
     # m*(k - u) would overflow at u = +/-1.7e308 (and at +/-1e300 for
-    # m = 1e10); it is formed from u clipped to +/-1e150, which is still
-    # far from every kink, so each order is its limit, quietly
+    # m = 1e10); it is formed from k - u clipped to the kernel's reach,
+    # so t is the reach to a few ulp, and each order is its limit, quietly
     u = np.array([1e300, -1e300, 1.7e308, -1.7e308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -564,8 +564,10 @@ def test_kink_distances_come_from_clipped_arguments(kern):
 
 @pytest.mark.parametrize("kern", [GAUSS, BUMP], ids=["gaussian", "bump"])
 def test_huge_scale_is_quiet(kern):
-    # at m = 1e300, m*(k - u) overflows to +/-inf already at |u| ~ 1e10;
-    # that is the exact limit, so the orders are the loss's own, quietly
+    # at m = 1e300, m*(k - u) would overflow already at |u| ~ 1e10; k - u
+    # is clipped to the reach over m (1e-300 on the bump, 4e-299 on the
+    # Gaussian) first, so t stays finite and the orders are the loss's
+    # own, quietly
     u = np.array([1e10, -1e10, 1e100, -1e100, 1.5, -2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -581,9 +583,9 @@ def test_huge_scale_is_quiet(kern):
 
 @pytest.mark.parametrize("kern", [GAUSS, BUMP], ids=["gaussian", "bump"])
 def test_kink_distance_overflow_threshold(kern):
-    # t = m*(k - u) for |u| <= 1e150 stays finite at m = 1e157 and
-    # overflows at m = 1e159, where only the overflow is quiet; both
-    # give the loss's own limits
+    # m*(k - u) for |u| <= 1e150 would stay finite at m = 1e157 and
+    # overflow at m = 1e159; with k - u clipped to the kernel's reach
+    # first, t is finite at both, and both give the loss's own limits
     u = np.array([1e150, -1e150, 9.9e149, -9.9e149])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -598,8 +600,9 @@ def test_kink_distance_overflow_threshold(kern):
 
 def test_ordinary_calls_enter_no_error_state(monkeypatch):
     # numpy's error-state switch costs about 2 us a call, which Newton
-    # passes over 100-point residual vectors feel; only t = m*(k - u),
-    # which really overflows for m above about 1e158, may enter it
+    # passes over 100-point residual vectors feel; t = m*(k - u) is formed
+    # from k - u clipped to the kernel's reach, so it is finite at every
+    # scale and no smoother enters the switch, not even at m = 1e300
     entries = []
 
     class CountingErrstate(np.errstate):
@@ -621,8 +624,15 @@ def test_ordinary_calls_enter_no_error_state(monkeypatch):
                            s.curvature_pair):
                     fn(arg)
     assert entries == []
-    PartialMomentSmoother(check_loss(0.3), GAUSS, 1e159).value(u)
-    assert entries
+    for m in (1e157, 1e159, 1e300):
+        for kern in (GAUSS, BUMP):
+            for loss in CATALOG:
+                s = PartialMomentSmoother(loss, kern, m)
+                for arg in (u, 0.5):
+                    s.terms(arg, (0, 1, 2))
+                    s.value(arg)
+                    s.curvature_pair(arg)
+    assert entries == []
 
 
 def test_scale_overflowing_the_jumps_is_refused():
