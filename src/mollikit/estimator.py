@@ -229,8 +229,7 @@ def fit_exact_scalar_quantile(sample: LinearSample, tau: float) -> float:
     order) where the one-sided derivative turns nonnegative.  Ties
     return the smallest such breakpoint.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
+    check_loss(tau)                                 # the check loss's tau rule
     if sample.d != 1:
         raise UnsupportedDimensionError("exact solver needs d = 1")
     x = sample.x[:, 0]
@@ -253,11 +252,16 @@ def fit_exact_scalar_quantile(sample: LinearSample, tau: float) -> float:
     return float(b[np.argmax(dplus >= 0.0)])
 
 
+def bandwidth_scale(h: float) -> float:
+    """The baseline's scale 1/h; InvalidBandwidthError unless 0 < h < 1."""
+    if not 0.0 < h < 1.0:
+        raise InvalidBandwidthError(f"bandwidth must lie in (0, 1), got {h}")
+    return 1.0 / h
+
+
 def fit_convolution_baseline(sample: LinearSample, tau: float, h: float, *,
                              start=None) -> FitResult:
     """Gaussian-kernel smoothed quantile fit at bandwidth h (scale 1/h),
     from `start` as in `fit_smoothed`."""
-    if not 0.0 < h < 1.0:
-        raise InvalidBandwidthError(f"bandwidth must lie in (0, 1), got {h}")
-    return fit_smoothed(sample, check_loss(tau), gaussian_kernel(), 1.0 / h,
-                        start=start)
+    return fit_smoothed(sample, check_loss(tau), gaussian_kernel(),
+                        bandwidth_scale(h), start=start)

@@ -111,7 +111,8 @@ def kernel_abs_moment(kernel: MollifierKernel, k: int) -> float:
 # cubic Hermite pieces.  Their node derivatives (phi, v*phi, v^2*phi, and
 # -(1 - C), -2 E(V - t)_+ for the excess moments) are known exactly, so
 # each piece follows from its two end nodes alone (interpolation error is a
-# few 1e-16 at the grid spacing).
+# few 1e-16 at the grid spacing).  Each integral is one lookup, in one table
+# or one closed form; the public functions clamp to the reach first.
 # ---------------------------------------------------------------------------
 
 _TABLE_POINTS = 8193
@@ -175,70 +176,63 @@ def _bump_pass():
     return tables, excess, (1.0, float(mu1), float(mu2)), float(c)
 
 
-def _table_lookup(tables, x: np.ndarray) -> list[np.ndarray]:
-    """Evaluate bump tables from one row search at x in [-1, 1] (or a few
-    ulp past), or NaN; no clamp: the public callers clamp to the reach."""
+def _table_lookup(table, x: np.ndarray) -> np.ndarray:
+    """Evaluate one bump table at x in [-1, 1] (or a few ulp past), or
+    NaN; no clamp: the public callers clamp to the reach."""
+    c0, c1, c2, c3 = table
     pos = x + 1.0
     pos *= _TABLE_SCALE
     # fmax sends NaN to row 0, where the NaN offset still reaches the result
     idx = np.fmax(pos, 0.0).astype(np.intp)
     s = pos - idx
-    outs = []
-    for c0, c1, c2, c3 in tables:
-        out = c3.take(idx)                           # Horner, in place
-        for c in (c2, c1, c0):
-            out *= s
-            out += c.take(idx)
-        outs.append(out)
-    return outs
+    out = c3.take(idx)                               # Horner, in place
+    for c in (c2, c1, c0):
+        out *= s
+        out += c.take(idx)
+    return out
 
 
-def _integrals(kernel: MollifierKernel, x: np.ndarray, ks) -> list[np.ndarray]:
-    """`kernel_integrals` at x within the reach (or a few ulp past), or NaN."""
+def _integral(kernel: MollifierKernel, x: np.ndarray, k: int) -> np.ndarray:
+    """Partial moment int_{-inf}^x v^k phi(v) dv, with k = 0 the CDF, at
+    x within the reach (or a few ulp past), or NaN."""
     if kernel.kind == BUMP:
-        tables = _bump_pass()[0]
-        return _table_lookup([tables[k] for k in ks], x)
-    cdf = _special().ndtr(x) if 0 in ks or 2 in ks else None
-    phi = normal_pdf(x) if 1 in ks or 2 in ks else None
-    # P1 = -phi; P2 = Phi - t*phi
-    return [cdf if k == 0 else -phi if k == 1 else cdf - x * phi for k in ks]
+        return _table_lookup(_bump_pass()[0][k], x)
+    if k == 1:
+        return -normal_pdf(x)                        # P1 = -phi
+    cdf = _special().ndtr(x)
+    return cdf if k == 0 else cdf - x * normal_pdf(x)   # P2 = Phi - t*phi
 
 
-def kernel_integrals(kernel: MollifierKernel, t, ks) -> list[np.ndarray]:
-    """Partial moments int_{-inf}^t v^k phi(v) dv for each k in ks, with
-    k = 0 the CDF: one table row search for all of them on the bump
-    kernel, shared Phi and phi on the Gaussian (accepts +/-inf and NaN)."""
-    x, r = np.asarray(t, dtype=float), kernel.reach       # NaN stays NaN
-    return _integrals(kernel, np.minimum(np.maximum(x, -r), r), ks)
-
-
-def _excess(kernel: MollifierKernel, x: np.ndarray, ks) -> list[np.ndarray]:
-    """`kernel_excess` at x in [0, reach] (or a few ulp past), or NaN."""
+def _excess(kernel: MollifierKernel, x: np.ndarray, k: int) -> np.ndarray:
+    """E(V - x)_+^k for k in (1, 2) at x in [0, reach] (or a few ulp
+    past), or NaN."""
     if kernel.kind == BUMP:
-        excess = _bump_pass()[1]
-        return _table_lookup([excess[k - 1] for k in ks], x)
+        return _table_lookup(_bump_pass()[1][k - 1], x)
     tail, phi = _special().ndtr(-x), normal_pdf(x)
     # E(V - s)_+ = phi - s Phi(-s); E(V - s)_+^2 = (1 + s^2) Phi(-s) - s phi
-    return [phi - x * tail if k == 1 else (1.0 + x * x) * tail - x * phi
-            for k in ks]
+    return phi - x * tail if k == 1 else (1.0 + x * x) * tail - x * phi
 
 
-def kernel_excess(kernel: MollifierKernel, s, ks) -> list[np.ndarray]:
-    """Excess moments E(V - s)_+^k of V ~ phi for each k in ks, drawn from
-    (1, 2), at s >= 0: one table row search for both on the bump kernel,
-    shared Phi(-s) and phi(s) on the Gaussian; exactly 0 from the reach
-    on (accepts +inf) and NaN at NaN."""
-    x, r = np.asarray(s, dtype=float), kernel.reach       # NaN stays NaN
-    return _excess(kernel, np.minimum(np.maximum(x, -r), r), ks)
+def _clamped(kernel: MollifierKernel, t) -> np.ndarray:
+    """t clamped to [-reach, reach], where every integral is its limit."""
+    x, r = np.asarray(t, dtype=float), kernel.reach
+    return np.minimum(np.maximum(x, -r), r)
+
+
+def kernel_excess(kernel: MollifierKernel, s, k: int) -> float | np.ndarray:
+    """Excess moment E(V - s)_+^k of V ~ phi for k in {1, 2}, at s >= 0:
+    exactly 0 from the reach on (accepts +inf); NaN below 0 and at NaN."""
+    x = _clamped(kernel, s)
+    return _as_same(s, _excess(kernel, np.where(x < 0.0, np.nan, x), k))
 
 
 def kernel_cdf(kernel: MollifierKernel, t) -> float | np.ndarray:
     """Cumulative mass int_{-inf}^t phi(v) dv (accepts +/-inf)."""
-    return _as_same(t, kernel_integrals(kernel, t, (0,))[0])
+    return _as_same(t, _integral(kernel, _clamped(kernel, t), 0))
 
 
 def kernel_partial_moment(kernel: MollifierKernel, t, k: int) -> float | np.ndarray:
     """Partial moment int_{-inf}^t v^k phi(v) dv for k in {1, 2}."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    return _as_same(t, kernel_integrals(kernel, t, (k,))[0])
+    return _as_same(t, _integral(kernel, _clamped(kernel, t), k))

@@ -12,10 +12,10 @@ boundary terms vanish because every kernel derivative does).
 `PartialMomentSmoother` is the smoothed loss, and `terms(u, orders)` is
 its one evaluator: it writes each order as the loss's own (rho, psi, 0)
 plus the smoothing bias, a sum over the kinks of kernel integrals at
-t = m*(k - u), so that a one-kink value reads one kernel table and the
-orders a caller asks for together share their lookups.  Every bias term
-vanishes past the kernel's reach, so far from the kinks and at +/-inf
-each order is its limit with no special case; each kink distance k - u
+t = m*(k - u), so that each order reads one kernel integral and a
+one-kink value reads one kernel table.  Every bias term vanishes past
+the kernel's reach, so far from the kinks and at +/-inf each order is
+its limit with no special case; each kink distance k - u
 is clipped to the reach over m before it is scaled, so t is finite at
 every scale and no smoother switches numpy's error state.  `value`,
 `derivative`, `second_derivative` and `curvature_pair` are one call to
@@ -40,7 +40,7 @@ import numpy as np
 from .distributions import _as_same
 from .errors import InvalidGridError, InvalidScaleError
 # kernel_cdf and kernel_partial_moment: perfbench/tracing.py binds them here
-from .kernels import (MollifierKernel, _excess, _integrals,  # noqa: F401
+from .kernels import (MollifierKernel, _excess, _integral,  # noqa: F401
                       kernel_abs_moment, kernel_cdf, kernel_partial_moment,
                       kernel_value)
 from .losses import (LossSpec, loss_curvature, loss_pieces, loss_subgradient,
@@ -243,11 +243,11 @@ class PartialMomentSmoother:
                                 + sum(map(abs, self._d_quad.tolist())))
 
     def terms(self, u, orders: tuple[int, ...]) -> tuple:
-        """The derivatives of the given orders at u (0 is the value), from
-        one kernel lookup at |t| and one at t; orders is an increasing
-        tuple drawn from (0, 1, 2).  Each is a float for scalar u, else an
-        array.  Far from every kink, and at +/-inf, every order is its
-        limit: the loss, its subgradient and 0."""
+        """The derivatives of the given orders at u (0 is the value), each
+        from one kernel integral; orders is an increasing tuple drawn from
+        (0, 1, 2).  Each is a float for scalar u, else an array.  Far from
+        every kink, and at +/-inf, every order is its limit: the loss, its
+        subgradient and 0."""
         arr = np.asarray(u, dtype=float)
         # t = m*(k - u) from k - u clipped to the reach (NaN stays NaN): a
         # far t is the reach to a few ulp, finite at every scale
@@ -260,31 +260,25 @@ class PartialMomentSmoother:
         # quadratic piece (Huber), never both, so each order reads one
         # kernel integral: T1, C and phi for orders 0, 1 and 2 of the
         # first kind, T2, T1 and C for Huber
-        if self._quad:
-            ks = ((1,) if 1 in orders else ()) + ((2,) if 0 in orders else ())
-            with_cdf = 2 in orders
-        else:
-            ks = (1,) if 0 in orders else ()
-            with_cdf = 1 in orders
-        excess = dict(zip(ks, _excess(self.kernel, np.abs(t), ks))) if ks else None
-        cdf = _integrals(self.kernel, t, (0,))[0] if with_cdf else None
         out = []
         for order in orders:
             if order == 0 and self._quad:
                 # scaled after the sum, so that the bias inside the
                 # quadratic piece, mu2 / (2 m^2), is correctly rounded
-                t2 = excess[2]
+                t2 = _excess(self.kernel, np.abs(t), 2)
                 q = np.where(t < 0.0, self._mu2 - t2, t2)
                 res = loss_value(self.loss, arr) + self._d_quad.dot(q) / (2.0 * m * m)
             elif order == 0:
-                res = loss_value(self.loss, arr) + self._jump_m.dot(excess[1])
+                t1 = _excess(self.kernel, np.abs(t), 1)
+                res = loss_value(self.loss, arr) + self._jump_m.dot(t1)
             elif order == 1 and self._quad:
-                res = loss_subgradient(self.loss, arr) + self._d_quad.dot(excess[1]) / m
+                res = (loss_subgradient(self.loss, arr)
+                       + self._d_quad.dot(_excess(self.kernel, np.abs(t), 1)) / m)
             elif order == 1:
                 # psi(u) + sum_i a_i [t_i > 0] is the last slope at every u
-                res = self._slope - self._jump.dot(cdf)
+                res = self._slope - self._jump.dot(_integral(self.kernel, t, 0))
             elif self._quad:
-                res = -self._d_quad.dot(cdf)
+                res = -self._d_quad.dot(_integral(self.kernel, t, 0))
             else:
                 res = self._d_psi.dot(kernel_value(self.kernel, t))
             out.append(res)

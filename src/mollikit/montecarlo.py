@@ -33,8 +33,9 @@ import numpy as np
 from .distributions import (ErrorDensity, normal_quantile, standard_normal,
                             student_t4, t4_quantile)
 from .errors import ExperimentError, MollikitError
-from .estimator import (FitResult, LinearSample, fit_convolution_baseline,
-                        fit_exact_scalar_quantile, fit_smoothed)
+from .estimator import (FitResult, LinearSample, bandwidth_scale,
+                        fit_convolution_baseline, fit_exact_scalar_quantile,
+                        fit_smoothed)
 from .kernels import parse_kernel
 from .losses import check_loss, expected_curvature
 from .mollify import check_scale
@@ -65,8 +66,7 @@ def error_density(name: str) -> ErrorDensity:
 
 def error_quantile_shift(dist: str, tau: float) -> float:
     """Quantile Q_eps(tau) subtracted from the raw errors."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    check_loss(tau)                                 # the check loss's tau rule
     if _dist_key(dist) == "normal01":
         return float(normal_quantile(tau))
     return float(t4_quantile(tau))
@@ -115,10 +115,8 @@ class ExperimentConfig:
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
         loss = check_loss(self.tau)                   # the check loss's tau rule
-        if any(not 0.0 < h < 1.0 for h in self.h_list):
-            raise ValueError("every h must lie in (0, 1)")
-        for m in (*self.m_list, *(1.0 / h for h in self.h_list)):
-            check_scale(loss, m)                      # the smoothers' own rule
+        for m in (*self.m_list, *map(bandwidth_scale, self.h_list)):
+            check_scale(loss, m)        # each h by its own rule first
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

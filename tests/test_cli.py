@@ -280,7 +280,7 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     for command, tau in (("simulate", 0.3), ("mad", 0.5)):
         for bad in (dict(m_list=[float("nan")]), dict(error_dist=5),
                     dict(kernel=3), dict(m_list=[5, 5.0000001]),
-                    dict(m_list=[True])):
+                    dict(m_list=[True]), dict(h_list=[1.5])):
             path = _write_config(tmp_path / "bad_value.json", tau=tau,
                                  **{"h_list": [], **bad})
             rc = cli.main([command, "--config", str(path),

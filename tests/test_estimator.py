@@ -161,7 +161,7 @@ def test_exact_quantile_errors():
     with pytest.raises(DegenerateRegressorError):
         fit_exact_scalar_quantile(z, 0.5)
     ok = LinearSample(x=np.ones(3), y=np.ones(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau must lie in"):
         fit_exact_scalar_quantile(ok, 1.5)
 
 
@@ -467,7 +467,7 @@ def test_baseline_zero_errors():
 def test_baseline_bandwidth_validation():
     s = _sim(4, 30)
     for h in (0.0, 1.0, -0.2, 2.0):
-        with pytest.raises(InvalidBandwidthError):
+        with pytest.raises(InvalidBandwidthError, match="bandwidth must lie in"):
             fit_convolution_baseline(s, 0.5, h)
 
 

@@ -9,9 +9,8 @@ from scipy.integrate import quad
 from mollikit import kernels
 from mollikit.kernels import (MollifierKernel, bump_kernel, bump_normalizer,
                               gaussian_kernel, kernel_abs_moment, kernel_cdf,
-                              kernel_excess, kernel_integrals,
-                              kernel_partial_moment, kernel_value,
-                              parse_kernel)
+                              kernel_excess, kernel_partial_moment,
+                              kernel_value, parse_kernel)
 
 from reference import integrate, kernel_derivative
 
@@ -187,7 +186,7 @@ def test_excess_moments_against_quadrature(kern):
     s = np.concatenate([np.linspace(0.0, 0.999, 23), [0.5 + 2.0**-13, 0.9999]])
     if kern == GAUSS:
         s = np.concatenate([s, [1.5, 3.0, 7.0]])
-    got = kernel_excess(kern, s, (1, 2))
+    got = [kernel_excess(kern, s, k) for k in (1, 2)]
     for i, x in enumerate(s.tolist()):
         breaks = sorted({x, top} | {b for b in (0.99,) if x < b < top})
         for k in (1, 2):
@@ -196,16 +195,31 @@ def test_excess_moments_against_quadrature(kern):
             assert got[k - 1][i] == pytest.approx(direct, abs=1e-15)
     for k in (1, 2):
         half = 0.5 * kernel_abs_moment(kern, k)
-        (at_zero,) = kernel_excess(kern, 0.0, (k,))
+        at_zero = kernel_excess(kern, 0.0, k)
+        assert isinstance(at_zero, float)
         assert abs(at_zero - half) <= 2.0 * np.spacing(half)
     far = np.array([reach, 2.0 * reach, 1e300, np.inf, np.nan])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        t1, t2 = kernel_excess(kern, far, (1, 2))
-        (alone,) = kernel_excess(kern, far, (2,))
+        t1, t2 = (kernel_excess(kern, far, k) for k in (1, 2))
     for out in (t1, t2):
         assert np.array_equal(out[:4], np.zeros(4)) and np.isnan(out[4])
-    assert np.array_equal(alone, t2, equal_nan=True)
+
+
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
+def test_excess_is_nan_below_its_domain(kern):
+    # E(V - s)_+^k is defined for s >= 0; below 0, at any distance, it is
+    # NaN, as at NaN, while -0.0 reads as s = 0
+    below = np.array([-0.5, -5.0, -50.0, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1, 2):
+            assert np.all(np.isnan(kernel_excess(kern, below, k)))
+            assert all(np.isnan(kernel_excess(kern, s, k)) for s in below)
+            at_zero = kernel_excess(kern, 0.0, k)
+            assert kernel_excess(kern, -0.0, k) == at_zero
+            assert np.array_equal(kernel_excess(kern, np.array([-0.0, 0.0]), k),
+                                  [at_zero, at_zero])
 
 
 @pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
@@ -222,17 +236,19 @@ def test_integrals_are_their_limits_from_just_short_of_the_reach(kern):
     t = np.concatenate([edge, -edge])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = kernels._integrals(kern, t, (0, 1, 2))
-        limits = kernel_integrals(kern, np.copysign(np.inf, t), (0, 1, 2))
-        t1, t2 = kernels._excess(kern, edge, (1, 2))
+        got = [kernels._integral(kern, t, k) for k in (0, 1, 2)]
+        far = np.copysign(np.inf, t)
+        limits = [kernel_cdf(kern, far)] + [kernel_partial_moment(kern, far, k)
+                                            for k in (1, 2)]
+        t1, t2 = (kernels._excess(kern, edge, k) for k in (1, 2))
         phi = kernel_value(kern, t)
     assert np.array_equal(got[0], (t > 0.0).astype(float))
     for out, limit in zip(got, limits):
         assert np.array_equal(out, limit)
     assert np.all(t1 == 0.0) and np.all(t2 == 0.0) and np.all(phi == 0.0)
     # the public functions clamp first, so they take +/-inf and NaN
-    assert np.array_equal(kernel_excess(kern, np.inf, (1, 2)), [0.0, 0.0])
-    assert np.isnan(kernel_excess(kern, np.nan, (1,))[0])
+    assert [kernel_excess(kern, np.inf, k) for k in (1, 2)] == [0.0, 0.0]
+    assert np.isnan(kernel_excess(kern, np.nan, 1))
 
 
 def test_cdf_limits_and_symmetry():
@@ -284,7 +300,8 @@ def test_gaussian_far_tails_are_quiet_limits():
         assert np.array_equal(kernel_partial_moment(GAUSS, far, 2),
                               [1.0, 0.0, 1.0, 0.0])
         phi = kernel_value(GAUSS, ts)
-        cdf, p1, p2 = kernel_integrals(GAUSS, ts, (0, 1, 2))
+        cdf = kernel_cdf(GAUSS, ts)
+        p1, p2 = (kernel_partial_moment(GAUSS, ts, k) for k in (1, 2))
     assert np.all(np.isnan([phi[-1], cdf[-1], p1[-1], p2[-1]]))
     for i, t in enumerate(ts[:-1].tolist()):
         d = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
@@ -316,28 +333,28 @@ def _same(a, b) -> bool:
 
 
 @pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
-def test_shared_lookup_matches_one_table_lookups(kern):
-    # one row search (bump) or one Phi and phi (Gaussian) for several
-    # integrals gives each integral exactly as its own lookup does
+def test_public_integrals_are_the_clamped_cores(kern):
+    # within the reach the public functions' clamp changes nothing: each
+    # equals the core that the smoother calls unclamped, bit for bit and
+    # with the sign of every zero, on 1-D input and on a (2, n) argument,
+    # one row per kink as the smoother passes it
+    r = kern.reach
     nodes = np.linspace(-1.0, 1.0, 8193)
-    t = np.concatenate([
+    t = r * np.concatenate([
+        [1.0, -1.0, 0.0, -0.0],
         nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
-        [1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200],
-        np.random.default_rng(17).uniform(-1.2, 1.2, 100_000)])
-    single = [kernel_cdf(kern, t)] + [kernel_partial_moment(kern, t, k)
-                                      for k in (1, 2)]
+        np.random.default_rng(17).uniform(-1.0, 1.0, 100_000)])
+    t = np.concatenate([[np.nan], t[np.abs(t) <= r]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for ks in [(0, 1, 2), (0, 1), (0, 2), (1, 2), (2, 1, 0)]:
-            for k, got in zip(ks, kernel_integrals(kern, t, ks)):
-                assert _same(got, single[k])
-        for k in (0, 1, 2):
-            (alone,) = kernel_integrals(kern, t, (k,))
-            assert _same(alone, single[k])
-        # a 2-D argument, as the smoother passes one row per kink
-        rows = t[:2000].reshape(2, -1)
-        for k, got in enumerate(kernel_integrals(kern, rows, (0, 1, 2))):
-            assert _same(got.ravel(), single[k][:2000])
+        for x in (t, t[:2000].reshape(2, -1)):
+            assert _same(kernel_cdf(kern, x), kernels._integral(kern, x, 0))
+            # excess moments at s >= 0, -0.0 included
+            s = np.where(x < 0.0, -x, x)
+            for k in (1, 2):
+                assert _same(kernel_partial_moment(kern, x, k),
+                             kernels._integral(kern, x, k))
+                assert _same(kernel_excess(kern, s, k), kernels._excess(kern, s, k))
 
 
 def test_parse_kernel():

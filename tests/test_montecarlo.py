@@ -10,8 +10,8 @@ import pytest
 from scipy.stats import t as student_t
 
 from mollikit import montecarlo
-from mollikit.errors import (ExperimentError, InvalidScaleError,
-                             SingularDesignError)
+from mollikit.errors import (ExperimentError, InvalidBandwidthError,
+                             InvalidScaleError, SingularDesignError)
 from mollikit.estimator import (LinearSample, fit_convolution_baseline,
                                 fit_smoothed)
 from mollikit.kernels import bump_kernel
@@ -54,13 +54,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _cfg(replications=0)
     for tau in (0.0, 1.0, -0.2, 1.5, float("nan")):   # the check loss's rule
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau must lie in"):
             _cfg(tau=tau)
     with pytest.raises(ValueError):
         _cfg(error_dist="cauchy")
     with pytest.raises(ValueError):
         _cfg(m_list=(0.0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidBandwidthError, match="bandwidth must lie in"):
         _cfg(h_list=(1.5,))
     with pytest.raises(ValueError):
         _cfg(kernel="uniform")
@@ -163,7 +163,7 @@ def test_quantile_shift_t4_matches_reference():
 
 def test_quantile_shift_domain():
     for tau in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau must lie in"):
             error_quantile_shift("t4", tau)
 
 

@@ -21,6 +21,8 @@ def test_public_names_resolve_once():
                         (quadratic, "_tilde_L_probes"),
                         (quadratic, "_probe_directions"),
                         (mollikit, "minimizer_gap"),
-                        (quadratic, "minimizer_gap")):
+                        (quadratic, "minimizer_gap"),
+                        (kernels, "kernel_integrals"),
+                        (kernels, "_integrals")):
         assert not hasattr(owner, gone)
     assert find_spec("mollikit.quadrature") is None
