@@ -222,6 +222,8 @@ def _clamped(kernel: MollifierKernel, t) -> np.ndarray:
 def kernel_excess(kernel: MollifierKernel, s, k: int) -> float | np.ndarray:
     """Excess moment E(V - s)_+^k of V ~ phi for k in {1, 2}, at s >= 0:
     exactly 0 from the reach on (accepts +inf); NaN below 0 and at NaN."""
+    if k not in (1, 2):
+        raise ValueError("k must be 1 or 2")
     x = _clamped(kernel, s)
     return _as_same(s, _excess(kernel, np.where(x < 0.0, np.nan, x), k))
 

@@ -26,7 +26,9 @@ per (loss, kernel, scale) in the process.
 `expected_derivative_gap`, which integrates the smoother's derivative
 against an error density, and `smooth_value` on the bump kernel, which
 still runs kink-split quadrature (`_value_quadrature`); the tests use
-that quadrature as their independent reference.  On each bump-value
+that quadrature as their independent reference.  Only the kinks inside
+the kernel's window split a row, and rows are integrated in groups by
+how many kinks they keep, so no panel is empty.  On each bump-value
 panel the integrand is a polynomial of degree at most 2 in v times
 phi(v), so the rule's accuracy depends on neither u nor m.
 """
@@ -107,31 +109,35 @@ def _base_breaks(kernel: MollifierKernel) -> tuple[float, ...]:
     return (-8.0, -2.0, 2.0, 8.0)
 
 
-def _v_breaks(loss: LossSpec, kernel: MollifierKernel, m: float,
-              u: np.ndarray) -> np.ndarray:
-    """Panel boundaries in kernel space, one row per evaluation point.
-
-    Every loss kink k maps to v = m*(k - u); kinks outside the window
-    clip to its ends and become zero-width panels.
-    """
-    base = _base_breaks(kernel)
-    cols = [np.full(u.shape, b) for b in base]
-    for k in loss.kinks:
-        cols.append(np.clip(m * (k - u), base[0], base[-1]))
-    return np.sort(np.stack(cols, axis=1), axis=1)
-
-
 def _quad_rows(s: PartialMomentSmoother, u: np.ndarray, integrand) -> np.ndarray:
+    """int integrand(u + v/m, v) dv over the kernel's window, one row per
+    point of the 1-d array u, by `integrate_rows`.
+
+    Every loss kink k maps to v = m*(k - u), and only the kinks strictly
+    inside the window split a row, so no panel is empty.  Rows are
+    grouped by how many kinks they keep, and each group is integrated in
+    _CHUNK_ROWS-row chunks on breaks of len(base) + count columns.
+    """
+    base = _base_breaks(s.kernel)
+    t = s.m * (np.array(s.loss.kinks) - u[:, None])
+    inside = (t > base[0]) & (t < base[-1])
+    # a dropped kink becomes base[-1] and sorts to the end, past the
+    # columns its group keeps
+    breaks = np.sort(np.concatenate(
+        [np.broadcast_to(base, (u.size, len(base))),
+         np.where(inside, t, base[-1])], axis=1), axis=1)
+    count = inside.sum(axis=1)
     out = np.empty(u.shape)
-    for start in range(0, u.size, _CHUNK_ROWS):
-        chunk = u[start:start + _CHUNK_ROWS]
-        breaks = _v_breaks(s.loss, s.kernel, s.m, chunk)
-        uc = chunk[:, None]
+    for c in np.unique(count):
+        rows = np.flatnonzero(count == c)
+        for start in range(0, rows.size, _CHUNK_ROWS):
+            idx = rows[start:start + _CHUNK_ROWS]
+            uc = u[idx, None]
 
-        def f(v, uc=uc):
-            return integrand(uc + v / s.m, v)
+            def f(v, uc=uc):
+                return integrand(uc + v / s.m, v)
 
-        out[start:start + _CHUNK_ROWS] = integrate_rows(f, breaks)
+            out[idx] = integrate_rows(f, breaks[idx, :len(base) + c])
     return out
 
 
@@ -149,8 +155,7 @@ def smooth_value(s: PartialMomentSmoother, u) -> float | np.ndarray:
     if s.kernel.kind == "gaussian":
         return s.value(u)
     arr = np.atleast_1d(np.asarray(u, dtype=float))
-    # past _FAR the value is the loss itself, as in s.value; at +/-inf
-    # the rule would meet inf * 0 on the zero-width panels
+    # past _FAR the value is the loss itself, as in s.value
     far = np.abs(arr) > _FAR
     near = _value_quadrature(s, np.where(far, 0.0, arr))
     return _as_same(u, np.where(far, loss_value(s.loss, arr), near))

@@ -223,6 +223,18 @@ def test_excess_is_nan_below_its_domain(kern):
 
 
 @pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("s", [0.5, np.array([0.0, 0.5, 2.0])], ids=["scalar", "array"])
+def test_excess_order_validation(kern, k, s):
+    # only k = 1, 2 have tables; any other order is refused, with the
+    # error kernel_partial_moment gives, not read from a wrong table
+    with pytest.raises(ValueError, match="k must be 1 or 2"):
+        kernel_excess(kern, s, k)
+    with pytest.raises(ValueError, match="k must be 1 or 2"):
+        kernel_partial_moment(kern, s, k)
+
+
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
 def test_integrals_are_their_limits_from_just_short_of_the_reach(kern):
     # the smoother clips each kink distance to the reach r and reads the
     # unclamped lookups at t = m * (r / m), which rounds to r * (1 +/- ulp);

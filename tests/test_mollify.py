@@ -481,20 +481,75 @@ def test_bump_quadrature_matches_smoother_on_rate_grid(loss, m):
                          - exact.value(grid))) < 1e-12
 
 
+def _clipped_layout_value(s, u):
+    """The bump value by the layout without grouping: every kink clipped
+    to the window, so a kink outside it makes a zero-width panel, and
+    the rows integrated in order in 64-row chunks."""
+    base = mollify._base_breaks(s.kernel)
+    out = np.empty(u.shape)
+    for start in range(0, u.size, 64):
+        chunk = u[start:start + 64]
+        cols = [np.full(chunk.shape, b) for b in base]
+        cols += [np.clip(s.m * (k - chunk), base[0], base[-1])
+                 for k in s.loss.kinks]
+        uc = chunk[:, None]
+
+        def f(v, uc=uc):
+            return loss_value(s.loss, uc + v / s.m) * kernel_value(s.kernel, v)
+
+        out[start:start + 64] = mollify.integrate_rows(
+            f, np.sort(np.stack(cols, axis=1), axis=1))
+    return out
+
+
+@pytest.mark.parametrize("m", [0.3, 5.0, 80.0])
+@pytest.mark.parametrize("loss", CATALOG, ids=lambda lo: lo.label)
+def test_grouped_layout_matches_clipped_layout(loss, m):
+    # dropping the empty panels and grouping rows by kink count moves no
+    # number: an empty panel adds exact zeros, and a row never depends
+    # on its neighbours
+    grid = np.linspace(-3.0, 3.0, 6001)
+    s = smoothed_loss(loss, BUMP, m)
+    assert np.array_equal(mollify._value_quadrature(s, grid),
+                          _clipped_layout_value(s, grid))
+
+
+def test_bump_value_panels_split_only_at_kinks_in_the_window(monkeypatch):
+    # each row gets one panel per kink strictly inside the window, plus
+    # one, and no panel is empty; the spy returns each row's panel count
+    # in place of its integral, so smooth_value hands the counts back in
+    # grid order
+    def spy(f, breaks):
+        assert np.all(breaks[:, 0] == -0.99) and np.all(breaks[:, -1] == 0.99)
+        assert np.all(np.diff(breaks, axis=1) > 0.0)
+        return np.full(breaks.shape[0], breaks.shape[1] - 1.0)
+
+    monkeypatch.setattr(mollify, "integrate_rows", spy)
+    grid = np.linspace(-3.0, 3.0, 6001)
+    # Huber at m = 0.3 keeps both kinks near 0; abs at m = 10 puts its
+    # kink exactly on the window's edge at u = +/-0.099
+    cases = [(loss, m, grid) for loss in CATALOG for m in (0.3, 5.0, 80.0)]
+    cases.append((absolute_loss(), 10.0, np.array([-0.099, 0.099, 0.0, 0.5])))
+    for loss, m, u in cases:
+        t = m * (np.array(loss.kinks)[:, None] - u)
+        want = 1 + np.sum(np.abs(t) < 0.99, axis=0)
+        assert np.array_equal(smooth_value(smoothed_loss(loss, BUMP, m), u), want)
+
+
 @pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=lambda k: k.kind)
 def test_quadrature_row_independent_of_chunk(kern, monkeypatch):
     # the rule is fixed, so a row's value does not depend on its chunk
-    # neighbours at all
+    # neighbours at all; Huber at m = 0.3 mixes rows of one and two kinks
     grid = np.linspace(-3.0, 3.0, 201)
-    for loss in CATALOG:
-        for m in (5.0, 80.0):
-            s = smoothed_loss(loss, kern, m)
-            chunked = [quad(s, grid) for quad in QUADRATURE]
-            with monkeypatch.context() as mp:
-                mp.setattr(mollify, "_CHUNK_ROWS", 1)
-                alone = [quad(s, grid) for quad in QUADRATURE]
-            for a, b in zip(chunked, alone):
-                assert np.array_equal(a, b)
+    cases = [(loss, m) for loss in CATALOG for m in (5.0, 80.0)]
+    for loss, m in cases + [(huber_loss(1.0), 0.3)]:
+        s = smoothed_loss(loss, kern, m)
+        chunked = [quad(s, grid) for quad in QUADRATURE]
+        with monkeypatch.context() as mp:
+            mp.setattr(mollify, "_CHUNK_ROWS", 1)
+            alone = [quad(s, grid) for quad in QUADRATURE]
+        for a, b in zip(chunked, alone):
+            assert np.array_equal(a, b)
 
 
 def test_bump_value_far_from_kinks_matches_smoother():
