@@ -7,9 +7,9 @@ and mad (surrogate distance experiment), which read a JSON config
 holding one experiment cell or a list of cells and write one JSON and
 one CSV table over all of them.
 
-Exit codes: 0 success, 2 usage, config or output-file error, 3
-experiment quality failure (too many excluded replications).  Any
-other exception is a bug and propagates.
+Exit codes: 0 success, 2 bad input (a `MollikitError`) or an `OSError`
+on a config or output file, 3 experiment quality failure (too many
+excluded replications).  Any other exception is a bug and propagates.
 """
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ import numpy as np
 
 from . import montecarlo
 from .distributions import standard_normal
-from .errors import ExperimentError, MollikitError
+from .errors import (ExperimentError, InputError, InvalidGridError,
+                     InvalidScaleError, MollikitError)
 from .kernels import kernel_abs_moment, parse_kernel
 from .losses import loss_value, parse_loss
 from .mollify import expected_derivative_gap, smooth_value, smoothed_loss, sup_error
@@ -37,23 +38,16 @@ _DEFAULT_RATE_GRID = "-3:3:0.001"
 MAX_GRID_POINTS = 10**7
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_grid(spec: str) -> np.ndarray:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"bad grid {spec!r}, expected lo:hi:step")
     try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"bad grid {spec!r}: {exc}") from exc
+        lo, hi, step = (float(p) for p in spec.split(":"))
+    except ValueError as exc:           # not three numbers
+        raise InvalidGridError(f"bad grid {spec!r}, expected lo:hi:step") from exc
     if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi <= lo:
-        raise UsageError(f"bad grid {spec!r}: need finite hi > lo and step > 0")
+        raise InvalidGridError(f"bad grid {spec!r}: need finite hi > lo and step > 0")
     count = np.floor((hi - lo) / step + 1e-9)
     if count >= MAX_GRID_POINTS:
-        raise UsageError(f"bad grid {spec!r}: more than {MAX_GRID_POINTS} points")
+        raise InvalidGridError(f"bad grid {spec!r}: more than {MAX_GRID_POINTS} points")
     return np.linspace(lo, lo + count * step, int(count) + 1)
 
 
@@ -61,9 +55,9 @@ def _parse_m_list(spec: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in spec.split(",") if tok.strip())
     except ValueError as exc:
-        raise UsageError(f"bad m list {spec!r}") from exc
+        raise InvalidScaleError(f"bad m list {spec!r}") from exc
     if not values:
-        raise UsageError("m list must not be empty")
+        raise InvalidScaleError("m list must not be empty")
     return values
 
 
@@ -84,11 +78,8 @@ def _write_json(path: str, payload):
 
 def _smoothing(args):
     """(loss, kernel, m_list, grid) from the shared smoothing flags."""
-    try:
-        loss, kernel = parse_loss(args.loss), parse_kernel(args.kernel)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return loss, kernel, _parse_m_list(args.m), _parse_grid(args.grid)
+    return (parse_loss(args.loss), parse_kernel(args.kernel),
+            _parse_m_list(args.m), _parse_grid(args.grid))
 
 
 def cmd_curve(args) -> int:
@@ -146,28 +137,25 @@ def _load_config(path: str, check=None
     """
     seed = os.environ.get("MOLLIKIT_SEED")
     if seed is not None and not (seed.isascii() and seed.isdigit()):
-        raise UsageError(f"MOLLIKIT_SEED must be a nonnegative integer, got {seed!r}")
+        raise InputError(f"MOLLIKIT_SEED must be a nonnegative integer, got {seed!r}")
+    base_seed = None if seed is None else int(seed)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"bad config {path}: {exc}") from exc
+        raise InputError(f"bad config {path}: {exc}") from exc
     is_list = isinstance(data, list)
     if is_list and not data:
-        raise UsageError(f"bad config {path}: the list of cells is empty")
+        raise InputError(f"bad config {path}: the list of cells is empty")
     configs = []
     for i, cell in enumerate(data if is_list else [data]):
         where = f"cell {i}: " if is_list else ""
         try:
-            if not isinstance(cell, dict):
-                raise ValueError(f"a cell must be an object, got {type(cell).__name__}")
-            if seed is not None:
-                cell = {**cell, "base_seed": int(seed)}
-            configs.append(montecarlo.ExperimentConfig.from_dict(cell))
+            configs.append(montecarlo.ExperimentConfig.from_dict(cell, base_seed))
             if check is not None:
                 check(configs[-1])
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad config {path}: {where}{exc}") from exc
+        except MollikitError as exc:
+            raise InputError(f"bad config {path}: {where}{exc}") from exc
     return configs, is_list
 
 
@@ -242,7 +230,7 @@ def main(argv=None) -> int:
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUALITY
-    except (UsageError, MollikitError, OSError) as exc:
+    except (MollikitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

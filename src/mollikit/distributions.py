@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InputError
+
 _SQRT2PI = sqrt(2.0 * pi)
 _NORMAL_CAP = 40.0     # the normal pdf rounds to 0 past |x| ~ 38.58
 _T4_CAP = 1e100        # the t4 pdf rounds to 0 past |x| ~ 8.5e64
@@ -57,7 +59,7 @@ def normal_quantile(p) -> float | np.ndarray:
     """Standard normal quantile (scipy's `ndtri`); -inf/inf at 0 and 1."""
     parr = np.asarray(p, dtype=float)
     if np.any((parr < 0.0) | (parr > 1.0)):
-        raise ValueError("probability outside [0, 1]")
+        raise InputError("probability outside [0, 1]")
     return _as_same(p, _special().ndtri(parr))
 
 
@@ -77,7 +79,7 @@ def t4_quantile(p) -> float | np.ndarray:
     """t4 quantile (scipy's `stdtrit`)."""
     parr = np.asarray(p, dtype=float)
     if np.any((parr <= 0.0) | (parr >= 1.0)):
-        raise ValueError("probability outside (0, 1)")
+        raise InputError("probability outside (0, 1)")
     return _as_same(p, _special().stdtrit(4.0, parr))
 
 

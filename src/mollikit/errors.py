@@ -1,8 +1,15 @@
-"""Exception types raised by the public API."""
+"""Exception types raised by the public API: bad input raises a
+`MollikitError` that is also a `ValueError`.  Two checks of program
+faults, not of input, raise a plain `ValueError`: `LinearSample`'s
+y = x @ theta0 + e and `ExperimentResult`'s summary check."""
 
 
 class MollikitError(Exception):
     """Base class for all library errors."""
+
+
+class InputError(MollikitError, ValueError):
+    """Input outside a function's grammar or domain; the message names it."""
 
 
 class InvalidScaleError(MollikitError, ValueError):

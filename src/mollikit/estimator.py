@@ -14,7 +14,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import (DegenerateRegressorError, IncompleteSampleError,
+from .errors import (DegenerateRegressorError, IncompleteSampleError, InputError,
                      InvalidBandwidthError, InvalidScaleError, InvalidStartError,
                      NonCoerciveLossError, NonFiniteSampleError,
                      SingularDesignError, UnsupportedDimensionError)
@@ -68,16 +68,16 @@ class LinearSample:
         y = self.y
         n, d = self.x.shape
         if y.size != n:
-            raise ValueError(f"x has {n} rows but y has {y.size} entries")
+            raise InputError(f"x has {n} rows but y has {y.size} entries")
         if not n >= d >= 1:
-            raise ValueError(f"need n >= d >= 1, got n={n}, d={d}")
+            raise InputError(f"need n >= d >= 1, got n={n}, d={d}")
         if self.e is not None and self.e.size != n:
-            raise ValueError("e must have one entry per observation")
+            raise InputError("e must have one entry per observation")
         if self.theta0 is not None and self.theta0.size != d:
-            raise ValueError("theta0 must have one entry per regressor")
+            raise InputError("theta0 must have one entry per regressor")
         if self.e is not None and self.theta0 is not None:
             if not np.abs(y - (self.x @ self.theta0 + self.e)).max() <= 1e-9:
-                raise ValueError("y does not equal x @ theta0 + e")
+                raise ValueError("y does not equal x @ theta0 + e")  # a program fault
 
     @property
     def n(self) -> int:

@@ -18,6 +18,7 @@ from math import sqrt, pi
 import numpy as np
 
 from .distributions import _NORMAL_CAP, _as_same, _special, normal_pdf
+from .errors import InputError
 
 GAUSSIAN = "gaussian"
 BUMP = "bump"
@@ -34,7 +35,7 @@ class MollifierKernel:
 
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, BUMP):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+            raise InputError(f"unknown kernel kind {self.kind!r}")
 
     @property
     def reach(self) -> float:
@@ -58,7 +59,7 @@ def parse_kernel(text: str) -> MollifierKernel:
         return gaussian_kernel()
     if name in (BUMP, "compact", "compact_bump"):
         return bump_kernel()
-    raise ValueError(f"unknown kernel {text!r} (expected gaussian|bump)")
+    raise InputError(f"unknown kernel {text!r} (expected gaussian|bump)")
 
 
 def _bump_raw(v: np.ndarray) -> np.ndarray:
@@ -92,10 +93,16 @@ def kernel_value(kernel: MollifierKernel, v) -> float | np.ndarray:
     return _as_same(v, out)
 
 
+def _order(k, allowed: tuple[int, ...]) -> int:
+    """k as an int, if it is an integer from `allowed`."""
+    if isinstance(k, (int, np.integer)) and k in allowed:
+        return int(k)
+    raise InputError(f"k must be {' or '.join(map(str, allowed))}, got {k!r}")
+
+
 def kernel_abs_moment(kernel: MollifierKernel, k: int) -> float:
     """Absolute moment mu_k = int |v|^k phi(v) dv for k in {0, 1, 2}."""
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
+    k = _order(k, (0, 1, 2))
     if kernel.kind == GAUSSIAN:
         return (1.0, sqrt(2.0 / pi), 1.0)[k]
     return _bump_pass()[2][k]
@@ -222,8 +229,7 @@ def _clamped(kernel: MollifierKernel, t) -> np.ndarray:
 def kernel_excess(kernel: MollifierKernel, s, k: int) -> float | np.ndarray:
     """Excess moment E(V - s)_+^k of V ~ phi for k in {1, 2}, at s >= 0:
     exactly 0 from the reach on (accepts +inf); NaN below 0 and at NaN."""
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
+    k = _order(k, (1, 2))
     x = _clamped(kernel, s)
     return _as_same(s, _excess(kernel, np.where(x < 0.0, np.nan, x), k))
 
@@ -235,6 +241,5 @@ def kernel_cdf(kernel: MollifierKernel, t) -> float | np.ndarray:
 
 def kernel_partial_moment(kernel: MollifierKernel, t, k: int) -> float | np.ndarray:
     """Partial moment int_{-inf}^t v^k phi(v) dv for k in {1, 2}."""
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
+    k = _order(k, (1, 2))
     return _as_same(t, _integral(kernel, _clamped(kernel, t), k))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _as_same
-from .errors import CurvatureUndefinedError
+from .errors import CurvatureUndefinedError, InputError
 
 ABSOLUTE = "absolute"
 CHECK = "check"
@@ -35,17 +35,17 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind not in (ABSOLUTE, CHECK, HUBER, RELU):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+            raise InputError(f"unknown loss kind {self.kind!r}")
         if self.kind == CHECK:
             if self.tau is None or not 0.0 < self.tau < 1.0:
-                raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+                raise InputError(f"tau must lie in (0, 1), got {self.tau}")
         elif self.tau is not None:
-            raise ValueError("tau only applies to the check loss")
+            raise InputError("tau only applies to the check loss")
         if self.kind == HUBER:
-            if self.c is None or not self.c > 0.0:
-                raise ValueError("huber loss needs c > 0")
+            if self.c is None or not 0.0 < self.c < np.inf:
+                raise InputError(f"huber threshold c must be in (0, inf), got {self.c}")
         elif self.c is not None:
-            raise ValueError("c only applies to the huber loss")
+            raise InputError("c only applies to the huber loss")
 
     @property
     def lipschitz(self) -> float:
@@ -97,12 +97,12 @@ def parse_loss(text: str) -> LossSpec:
         return absolute_loss()
     if name == "relu" and not arg:
         return relu_loss()
-    if name == "check" and arg:
-        return check_loss(float(arg))
-    if name == "huber" and arg:
-        return huber_loss(float(arg))
-    raise ValueError(f"bad loss spec {text!r} "
-                     "(expected abs|check:TAU|huber:C|relu)")
+    try:
+        make, param = {"check": check_loss, "huber": huber_loss}[name], float(arg)
+    except (KeyError, ValueError):      # an unknown name, or no number after it
+        raise InputError(f"bad loss spec {text!r} "
+                         "(expected abs|check:TAU|huber:C|relu)") from None
+    return make(param)
 
 
 def loss_value(loss: LossSpec, u) -> float | np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .distributions import (ErrorDensity, normal_quantile, standard_normal,
                             student_t4, t4_quantile)
-from .errors import ExperimentError, MollikitError
+from .errors import ExperimentError, InputError, MollikitError
 from .estimator import (FitResult, LinearSample, bandwidth_scale,
                         fit_convolution_baseline, fit_exact_scalar_quantile,
                         fit_smoothed)
@@ -56,7 +56,7 @@ _DIST_ALIASES = {
 def _dist_key(name: str) -> str:
     key = _DIST_ALIASES.get(name.lower())
     if key is None:
-        raise ValueError(f"unknown error distribution {name!r}")
+        raise InputError(f"unknown error distribution {name!r}")
     return key
 
 
@@ -92,45 +92,52 @@ class ExperimentConfig:
         for name in ("n", "replications", "base_seed"):
             value = getattr(self, name)
             if not _is_a(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise InputError(f"{name} must be an integer, got {value!r}")
         for name, value in (("error_dist", self.error_dist), ("kernel", self.kernel)):
             if not isinstance(value, str):
-                raise ValueError(f"{name} must be a string, got {value!r}")
+                raise InputError(f"{name} must be a string, got {value!r}")
         if not _is_a(self.tau, Real):
-            raise ValueError(f"tau must be a number, got {self.tau!r}")
+            raise InputError(f"tau must be a number, got {self.tau!r}")
         for name in ("m_list", "h_list"):
             raw = getattr(self, name)
-            if isinstance(raw, str) or not all(_is_a(v, Real) for v in raw):
-                raise ValueError(f"{name} must be a list of numbers, got {raw!r}")
+            if not (isinstance(raw, (list, tuple))
+                    and all(_is_a(v, Real) for v in raw)):
+                raise InputError(f"{name} must be a list of numbers, got {raw!r}")
             values = tuple(float(v) for v in raw)
             if len(set(map(_key, values))) < len(values):   # results are keyed by _key
-                raise ValueError(f"{name} has scales with the same label: {values}")
+                raise InputError(f"{name} has scales with the same label: {values}")
             object.__setattr__(self, name, values)
         object.__setattr__(self, "error_dist", _dist_key(self.error_dist))
         object.__setattr__(self, "kernel", parse_kernel(self.kernel).kind)
         if self.n < 10:
-            raise ValueError("n must be at least 10")
+            raise InputError("n must be at least 10")
         if self.replications < 1:
-            raise ValueError("need at least one replication")
+            raise InputError("need at least one replication")
         if self.base_seed < 0:
-            raise ValueError("base_seed must be nonnegative")
+            raise InputError("base_seed must be nonnegative")
         loss = check_loss(self.tau)                   # the check loss's tau rule
         for m in (*self.m_list, *map(bandwidth_scale, self.h_list)):
             check_scale(loss, m)        # each h by its own rule first
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = dict(data)
+    def from_dict(cls, data, base_seed: int | None = None) -> "ExperimentConfig":
+        """The config of a JSON cell; `base_seed`, if given, replaces its own."""
+        if not isinstance(data, dict):
+            raise InputError(f"a cell must be an object, got {type(data).__name__}")
+        known = dict(data) if base_seed is None else {**data, "base_seed": base_seed}
         if "M" in known and "replications" in known:
-            raise ValueError("config gives both 'M' and 'replications'")
+            raise InputError("config gives both 'M' and 'replications'")
         reps = known.pop("M", known.pop("replications", None))
         if reps is None:
-            raise ValueError("config needs an 'M' entry")
+            raise InputError("config needs an 'M' entry")
+        missing = {"n", "tau", "error_dist", "m_list"} - set(known)
+        if missing:
+            raise InputError(f"config needs entries {sorted(missing)}")
         allowed = {"n", "tau", "error_dist", "m_list", "h_list",
                    "base_seed", "kernel"}
         unknown = set(known) - allowed
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise InputError(f"unknown config keys: {sorted(unknown)}")
         return cls(replications=reps, **known)
 
     def to_dict(self) -> dict:
@@ -148,7 +155,7 @@ def generate_sample(config: ExperimentConfig, replication: int) -> LinearSample:
     quantile (`stdtrit`).
     """
     if not 0 <= replication < config.replications:
-        raise ValueError("replication index out of range")
+        raise InputError("replication index out of range")
     seq = np.random.SeedSequence(entropy=config.base_seed,
                                  spawn_key=(replication,))
     rng = np.random.default_rng(seq)
@@ -182,7 +189,7 @@ class ExperimentResult:
         values += [v for v in (self.rmse_tau, self.mean_abs_beta_q)
                    if v is not None]
         bad = [v for v in values if not (np.isfinite(v) and v >= 0.0)]
-        if bad:
+        if bad:                          # a program fault, so untyped
             raise ValueError(f"non-finite or negative summary values: {bad}")
 
     def to_dict(self) -> dict:
@@ -303,7 +310,7 @@ def check_mad_config(config: ExperimentConfig):
     """The MAD experiment is defined for the median only (tau = 0.5),
     where the analytic curvature constant is the error density at zero."""
     if config.tau != 0.5:
-        raise ValueError("the MAD experiment requires tau = 0.5")
+        raise InputError("the MAD experiment requires tau = 0.5")
 
 
 def run_mad_experiment(config: ExperimentConfig, threads: int = 1,

@@ -21,7 +21,7 @@ from math import log, sqrt
 
 import numpy as np
 
-from .errors import (IncompleteSampleError, InvalidCurvatureError,
+from .errors import (IncompleteSampleError, InputError, InvalidCurvatureError,
                      InvalidGridError, InvalidPointError, SingularGramError)
 from .estimator import LinearSample
 from .kernels import MollifierKernel
@@ -136,5 +136,5 @@ def loglog_scale(n: int) -> float:
     """The comparison scale n^{-1/4} * log(log(n)); needs n >= 16 so the
     inner logarithm stays above one."""
     if n < 16:
-        raise ValueError("n must be at least 16")
+        raise InputError("n must be at least 16")
     return n ** -0.25 * log(log(n))

@@ -97,6 +97,36 @@ def test_programming_error_propagates(tmp_path, monkeypatch):
                   "--out", str(tmp_path / "x.csv")])
     assert not (tmp_path / "x.csv").exists()
 
+    # nor is a TypeError raised while a config cell is built and checked
+    def broken_check(loss, m):
+        raise TypeError("unsupported operand type(s)")
+
+    monkeypatch.setattr(cli.montecarlo, "check_scale", broken_check)
+    cfg = _write_config(tmp_path / "cfg.json", M=3)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_bad_loss_parameter_names_the_grammar(tmp_path, capsys):
+    for spec in ("check:abc", "huber:x"):
+        rc = cli.main(["curve", "--loss", spec, "--kernel", "bump", "--m", "5",
+                       "--grid", "0:1:0.5", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2, spec
+        assert capsys.readouterr().err == (
+            f"error: bad loss spec {spec!r} (expected abs|check:TAU|huber:C|relu)\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["rate", "curve"])
+def test_infinite_huber_threshold_is_refused(tmp_path, capsys, command):
+    rc = cli.main([command, "--loss", "huber:inf", "--kernel", "bump", "--m", "5",
+                   "--grid", "0:1:0.5", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: huber threshold c must be in (0, inf), got inf\n")
+    assert not (tmp_path / "x.csv").exists()
+
 
 def test_curve_bad_grid(tmp_path, capsys):
     rc = cli.main(["curve", "--loss", "abs", "--kernel", "bump", "--m", "5",
@@ -391,7 +421,11 @@ def test_bad_list_config_runs_nothing(tmp_path, monkeypatch, capsys, command):
     good = _cell(M=3, tau=tau)
     cases = {
         "empty": ([], "empty"),
-        "not an object": ([good, 5], "cell 1: "),
+        "not an object": ([good, 5], "cell 1: a cell must be an object, got int"),
+        "missing key": ([good, {k: v for k, v in good.items() if k != "n"}],
+                        "cell 1: config needs entries ['n']"),
+        "m_list not a list": ([good, {**good, "m_list": 5}],
+                              "cell 1: m_list must be a list of numbers"),
         "bad second cell": ([good, {**good, "tau": 1.5}], "cell 1: tau"),
         "unknown key": ([good, good, {**good, "bogus": 1}], "cell 2: "),
         "scale too small": ([good, {**good, "m_list": [1e-150]}],

@@ -13,6 +13,7 @@ from scipy.stats import t as student_t
 from mollikit import distributions
 from mollikit.distributions import (normal_pdf, normal_quantile, standard_normal,
                                     student_t4, t4_cdf, t4_pdf, t4_quantile)
+from mollikit.errors import InputError
 from mollikit.kernels import gaussian_kernel, kernel_partial_moment
 
 from reference import integrate, t4_cdf_closed_form, t4_quantile_closed_form
@@ -32,9 +33,9 @@ def test_normal_quantile_accuracy():
 def test_normal_quantile_edges():
     assert normal_quantile(0.0) == -np.inf
     assert normal_quantile(1.0) == np.inf
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         normal_quantile(-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         normal_quantile(1.1)
 
 
@@ -84,9 +85,9 @@ def test_t4_quantile_round_trip():
 
 
 def test_t4_quantile_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         t4_quantile(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         t4_quantile(1.0)
 
 

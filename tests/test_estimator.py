@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mollikit import estimator
-from mollikit.errors import (DegenerateRegressorError, InvalidBandwidthError,
-                             InvalidScaleError, InvalidStartError,
+from mollikit.errors import (DegenerateRegressorError, InputError,
+                             InvalidBandwidthError, InvalidScaleError, InvalidStartError,
                              NonCoerciveLossError, NonFiniteSampleError,
                              SingularDesignError, UnsupportedDimensionError)
 from mollikit.estimator import (FitResult, LinearSample,
@@ -51,16 +51,16 @@ def _brute_force_quantile(x, y, tau):
 def test_sample_shapes_and_validation():
     s = LinearSample(x=np.ones(3), y=np.array([1.0, 2.0, 3.0]))
     assert s.n == 3 and s.d == 1 and s.x.shape == (3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         LinearSample(x=np.ones((2, 3)), y=np.ones(2))    # n < d
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         LinearSample(x=np.ones(3), y=np.ones(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not equal"):
         LinearSample(x=np.ones(3), y=np.ones(3), e=np.zeros(3),
                      theta0=np.array([5.0]))             # y != x theta0 + e
-    with pytest.raises(ValueError, match="one entry per observation"):
+    with pytest.raises(InputError, match="one entry per observation"):
         LinearSample(x=np.ones(3), y=np.ones(3), e=np.zeros(2))
-    with pytest.raises(ValueError, match="one entry per regressor"):
+    with pytest.raises(InputError, match="one entry per regressor"):
         LinearSample(x=np.ones(3), y=np.ones(3), theta0=np.ones(2))
 
 
@@ -161,7 +161,7 @@ def test_exact_quantile_errors():
     with pytest.raises(DegenerateRegressorError):
         fit_exact_scalar_quantile(z, 0.5)
     ok = LinearSample(x=np.ones(3), y=np.ones(3))
-    with pytest.raises(ValueError, match="tau must lie in"):
+    with pytest.raises(InputError, match="tau must lie in"):
         fit_exact_scalar_quantile(ok, 1.5)
 
 

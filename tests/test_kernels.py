@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from mollikit import kernels
+from mollikit.errors import InputError
 from mollikit.kernels import (MollifierKernel, bump_kernel, bump_normalizer,
                               gaussian_kernel, kernel_abs_moment, kernel_cdf,
                               kernel_excess, kernel_partial_moment,
@@ -139,10 +140,10 @@ def test_gaussian_moments_against_quadrature():
 
 
 def test_abs_moment_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         kernel_abs_moment(BUMP, 3)
     for kern in (BUMP, GAUSS):
-        with pytest.raises(ValueError, match="k must be 1 or 2"):
+        with pytest.raises(InputError, match="k must be 1 or 2"):
             kernel_partial_moment(kern, 0.5, 0)
 
 
@@ -228,10 +229,26 @@ def test_excess_is_nan_below_its_domain(kern):
 def test_excess_order_validation(kern, k, s):
     # only k = 1, 2 have tables; any other order is refused, with the
     # error kernel_partial_moment gives, not read from a wrong table
-    with pytest.raises(ValueError, match="k must be 1 or 2"):
+    with pytest.raises(InputError, match="k must be 1 or 2"):
         kernel_excess(kern, s, k)
-    with pytest.raises(ValueError, match="k must be 1 or 2"):
+    with pytest.raises(InputError, match="k must be 1 or 2"):
         kernel_partial_moment(kern, s, k)
+
+
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
+def test_one_order_check_for_every_kernel_integral(kern):
+    # an integer order from the allowed set is read, a numpy integer
+    # included; anything else, a float 1.0 too, is refused alike on both
+    # kernels rather than read through a table index or a closed form
+    calls = ((lambda k: kernel_abs_moment(kern, k), (0, 1, 2)),
+             (lambda k: kernel_partial_moment(kern, 0.3, k), (1, 2)),
+             (lambda k: kernel_excess(kern, 0.3, k), (1, 2)))
+    for call, allowed in calls:
+        for k in allowed:
+            assert call(np.int64(k)) == call(k)
+        for k in (-1, 3, 1.0, 2.0, 1.5, "1", None):
+            with pytest.raises(InputError, match="k must be"):
+                call(k)
 
 
 @pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=["bump", "gaussian"])
@@ -372,7 +389,7 @@ def test_public_integrals_are_the_clamped_cores(kern):
 def test_parse_kernel():
     assert parse_kernel("gaussian").kind == "gaussian"
     assert parse_kernel("bump").kind == "bump"
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         parse_kernel("uniform")
-    with pytest.raises(ValueError, match="unknown kernel kind"):
+    with pytest.raises(InputError, match="unknown kernel kind"):
         MollifierKernel("uniform")

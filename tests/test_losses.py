@@ -1,10 +1,11 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from mollikit.distributions import ErrorDensity, standard_normal, student_t4
-from mollikit.errors import CurvatureUndefinedError
+from mollikit.errors import CurvatureUndefinedError, InputError
 from mollikit.kernels import bump_kernel, gaussian_kernel
 from mollikit.losses import (CurvatureMeasure, LossSpec, absolute_loss,
                              check_loss, expected_curvature, huber_loss,
@@ -214,20 +215,36 @@ def test_expected_curvature_rejects_unevaluable_density():
 
 
 def test_construction_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         check_loss(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         check_loss(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         huber_loss(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         huber_loss(-1.0)
-    with pytest.raises(ValueError, match="unknown loss kind"):
+    with pytest.raises(InputError, match="unknown loss kind"):
         LossSpec("hinge")
-    with pytest.raises(ValueError, match="tau only applies"):
+    with pytest.raises(InputError, match="tau only applies"):
         LossSpec("absolute", tau=0.5)
-    with pytest.raises(ValueError, match="c only applies"):
+    with pytest.raises(InputError, match="c only applies"):
         LossSpec("check", tau=0.5, c=1.0)
+
+
+def test_huber_threshold_must_be_finite():
+    # c = inf used to pass as a loss whose value is NaN
+    for c in (float("inf"), float("nan")):
+        with pytest.raises(InputError, match="huber threshold c must be in"):
+            huber_loss(c)
+    with pytest.raises(InputError, match="huber threshold c must be in"):
+        parse_loss("huber:inf")
+
+
+def test_bad_loss_parameter_names_the_grammar():
+    for bad in ("check:abc", "huber:1e", "check:", "huber:0.5:1"):
+        with pytest.raises(InputError, match=re.escape(
+                f"bad loss spec {bad!r} (expected abs|check:TAU|huber:C|relu)")):
+            parse_loss(bad)
 
 
 def test_parse_loss_grammar():
@@ -236,7 +253,7 @@ def test_parse_loss_grammar():
     assert parse_loss("check:0.3").tau == 0.3
     assert parse_loss("huber:1.345").c == 1.345
     for bad in ("abs:1", "check", "huber", "check:1.5", "pinball:0.5", ""):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             parse_loss(bad)
 
 

@@ -280,7 +280,7 @@ def test_sup_error_absolute_bump():
 
 def test_sup_error_empty_grid():
     s = smoothed_loss(absolute_loss(), BUMP, 10.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidGridError):
         sup_error(s, [])
     with pytest.raises(InvalidGridError, match="nonempty"):
         sup_error(s, np.empty((0, 3)))
@@ -293,7 +293,7 @@ def test_sup_error_refuses_non_finite_grid(kern):
     for bad in ([0.0, np.inf], [-np.inf, 0.0], [np.nan], [0.5, np.nan, 1.0]):
         with pytest.raises(InvalidGridError, match="finite"):
             sup_error(s, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidGridError):
             sup_error(s, bad)
 
 

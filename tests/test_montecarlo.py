@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -10,8 +11,9 @@ import pytest
 from scipy.stats import t as student_t
 
 from mollikit import montecarlo
-from mollikit.errors import (ExperimentError, InvalidBandwidthError,
-                             InvalidScaleError, SingularDesignError)
+from mollikit.errors import (ExperimentError, InputError, InvalidBandwidthError,
+                             InvalidScaleError, MollikitError,
+                             SingularDesignError)
 from mollikit.estimator import (LinearSample, fit_convolution_baseline,
                                 fit_smoothed)
 from mollikit.kernels import bump_kernel
@@ -49,46 +51,46 @@ def _zero_error_generator(config, j):
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         _cfg(n=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         _cfg(replications=0)
     for tau in (0.0, 1.0, -0.2, 1.5, float("nan")):   # the check loss's rule
-        with pytest.raises(ValueError, match="tau must lie in"):
+        with pytest.raises(InputError, match="tau must lie in"):
             _cfg(tau=tau)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         _cfg(error_dist="cauchy")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidScaleError):
         _cfg(m_list=(0.0,))
     with pytest.raises(InvalidBandwidthError, match="bandwidth must lie in"):
         _cfg(h_list=(1.5,))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         _cfg(kernel="uniform")
     for m in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidScaleError):
             _cfg(m_list=(5.0, m))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         _cfg(m_list="15")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         _cfg(h_list="0.5")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         _cfg(n=50.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         _cfg(replications=2.7)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         _cfg(replications=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         _cfg(base_seed=1.5)
     for bad in (dict(error_dist=5), dict(kernel=3), dict(m_list=(True,)),
                 dict(m_list=(5, 5.0000001)), dict(m_list=(5.0, 5.0)),
                 dict(h_list=(0.1, 0.1))):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             _cfg(**bad)
     # numeric fields refuse strings and negative seeds, naming the field
     for bad, name in ((dict(tau="0.3"), "tau"), (dict(m_list=("5",)), "m_list"),
                       (dict(h_list=("0.5",)), "h_list"),
                       (dict(base_seed=-1), "base_seed")):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(InputError, match=name):
             _cfg(**bad)
     # the smoothers' own scale rule, before any replication runs: m below
     # 1e-140, and h whose scale 1/h overflows
@@ -118,14 +120,14 @@ def test_config_stores_canonical_kernel():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         ExperimentConfig.from_dict({"n": 100, "M": 5, "tau": 0.5,
                                     "error_dist": "t4", "m_list": [5],
                                     "bogus": 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         ExperimentConfig.from_dict({"n": 100, "tau": 0.5,
                                     "error_dist": "t4", "m_list": [5]})
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         ExperimentConfig.from_dict({"n": 100, "M": 5, "replications": 900,
                                     "tau": 0.5, "error_dist": "t4",
                                     "m_list": [5]})
@@ -137,8 +139,24 @@ def test_config_rejects_unknown_keys():
                 {"m_list": [5, 5.0000001]}, {"m_list": [5, 5]},
                 {"h_list": [0.5, 0.5]}, {"tau": "0.5"}, {"m_list": ["5"]},
                 {"h_list": ["0.5"]}, {"base_seed": -1}):
-        with pytest.raises(ValueError):
+        with pytest.raises(MollikitError):
             ExperimentConfig.from_dict({**good, **bad})
+
+
+def test_from_dict_refuses_a_malformed_cell_by_key():
+    good = {"n": 100, "M": 5, "tau": 0.5, "error_dist": "t4", "m_list": [5]}
+    for cell in ([good], 5, "cell", None):
+        with pytest.raises(InputError, match="a cell must be an object"):
+            ExperimentConfig.from_dict(cell)
+    for key in ("n", "tau", "error_dist", "m_list"):
+        short = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(InputError, match=re.escape(f"needs entries ['{key}']")):
+            ExperimentConfig.from_dict(short)
+    for key in ("m_list", "h_list"):
+        for raw in (5, 5.0, None, {"5": 1}):
+            with pytest.raises(InputError, match=f"{key} must be a list of numbers"):
+                ExperimentConfig.from_dict({**good, key: raw})
+    assert ExperimentConfig.from_dict(good, base_seed=3).base_seed == 3
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +181,7 @@ def test_quantile_shift_t4_matches_reference():
 
 def test_quantile_shift_domain():
     for tau in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError, match="tau must lie in"):
+        with pytest.raises(InputError, match="tau must lie in"):
             error_quantile_shift("t4", tau)
 
 
@@ -207,9 +225,9 @@ def test_generate_sample_error_quantile_location():
 
 def test_generate_sample_index_range():
     cfg = _cfg()
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         generate_sample(cfg, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         generate_sample(cfg, -1)
 
 
@@ -315,6 +333,20 @@ def test_exclusion_gate_trips():
 
     with pytest.raises(ExperimentError):
         run_rmse_experiment(_cfg(replications=10), generator=broken)
+
+
+def test_generator_breaking_the_model_crashes_the_run():
+    # y != x theta0 + e is a program fault, not bad input: it propagates
+    # from the replication instead of being recorded as an exclusion
+    def broken(config, j):
+        s = _zero_error_generator(config, j)
+        return LinearSample(x=s.x, y=s.y + 1.0, e=s.e, theta0=s.theta0)
+
+    with pytest.raises(ValueError, match="does not equal") as err:
+        montecarlo._record(montecarlo._rmse_fits, _cfg(), broken, 0)
+    assert not isinstance(err.value, MollikitError)
+    with pytest.raises(ValueError, match="does not equal"):
+        run_rmse_experiment(_cfg(replications=3), generator=broken)
 
 
 def test_scale_overflowing_the_hessian_fails_every_replication(monkeypatch):
@@ -432,7 +464,7 @@ def test_programming_error_propagates(run):
 # ---------------------------------------------------------------------------
 
 def test_mad_requires_median():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         run_mad_experiment(_cfg(tau=0.3))
 
 
@@ -472,7 +504,7 @@ def test_mad_result_carries_mean_sizes():
     data = res.to_dict()
     assert data["mean_abs_beta_m"] == res.mean_abs_beta_m
     assert data["mean_abs_beta_q"] == res.mean_abs_beta_q
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite or negative"):
         ExperimentResult(config=_cfg(), kind="mad", mean_abs_beta_q=np.nan)
 
 
@@ -481,9 +513,9 @@ def test_mad_result_carries_mean_sizes():
 # ---------------------------------------------------------------------------
 
 def test_result_rejects_bad_summaries():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite or negative"):
         ExperimentResult(config=_cfg(), kind="rmse", rmse_tau=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite or negative"):
         ExperimentResult(config=_cfg(), kind="rmse", rmse_tau=float("nan"))
 
 

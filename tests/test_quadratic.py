@@ -7,9 +7,9 @@ import pytest
 
 from mollikit import quadratic
 from mollikit.distributions import standard_normal
-from mollikit.errors import (IncompleteSampleError, InvalidCurvatureError,
-                             InvalidGridError, InvalidPointError,
-                             MollikitError, SingularGramError)
+from mollikit.errors import (IncompleteSampleError, InputError,
+                             InvalidCurvatureError, InvalidGridError,
+                             InvalidPointError, MollikitError, SingularGramError)
 from mollikit.estimator import LinearSample, fit_smoothed
 from mollikit.kernels import bump_kernel
 from mollikit.losses import absolute_loss, check_loss, expected_curvature, huber_loss
@@ -305,5 +305,5 @@ def test_minimizer_gap_monitored_trend():
 
 def test_loglog_scale_domain():
     assert loglog_scale(16) > 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         loglog_scale(15)
