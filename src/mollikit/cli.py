@@ -7,9 +7,10 @@ and mad (surrogate distance experiment), which read a JSON config
 holding one experiment cell or a list of cells and write one JSON and
 one CSV table over all of them.
 
-Exit codes: 0 success, 2 bad input (a `MollikitError`) or an `OSError`
-on a config or output file, 3 experiment quality failure (too many
-excluded replications).  Any other exception is a bug and propagates.
+Exit codes: 0 success, 2 bad input (an `InputError`) or an `OSError`
+on a config or output file, 3 experiment quality failure (an
+`ExperimentError`: too many excluded replications).  Any other
+exception is a bug and propagates.
 """
 from __future__ import annotations
 
@@ -23,8 +24,7 @@ import numpy as np
 
 from . import montecarlo
 from .distributions import standard_normal
-from .errors import (ExperimentError, InputError, InvalidGridError,
-                     InvalidScaleError, MollikitError)
+from .errors import ExperimentError, InputError, MollikitError
 from .kernels import kernel_abs_moment, parse_kernel
 from .losses import loss_value, parse_loss
 from .mollify import expected_derivative_gap, smooth_value, smoothed_loss, sup_error
@@ -42,12 +42,12 @@ def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, step = (float(p) for p in spec.split(":"))
     except ValueError as exc:           # not three numbers
-        raise InvalidGridError(f"bad grid {spec!r}, expected lo:hi:step") from exc
+        raise InputError(f"bad grid {spec!r}, expected lo:hi:step") from exc
     if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi <= lo:
-        raise InvalidGridError(f"bad grid {spec!r}: need finite hi > lo and step > 0")
+        raise InputError(f"bad grid {spec!r}: need finite hi > lo and step > 0")
     count = np.floor((hi - lo) / step + 1e-9)
     if count >= MAX_GRID_POINTS:
-        raise InvalidGridError(f"bad grid {spec!r}: more than {MAX_GRID_POINTS} points")
+        raise InputError(f"bad grid {spec!r}: more than {MAX_GRID_POINTS} points")
     return np.linspace(lo, lo + count * step, int(count) + 1)
 
 
@@ -55,9 +55,9 @@ def _parse_m_list(spec: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in spec.split(",") if tok.strip())
     except ValueError as exc:
-        raise InvalidScaleError(f"bad m list {spec!r}") from exc
+        raise InputError(f"bad m list {spec!r}") from exc
     if not values:
-        raise InvalidScaleError("m list must not be empty")
+        raise InputError("m list must not be empty")
     return values
 
 

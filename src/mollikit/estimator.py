@@ -14,10 +14,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import (DegenerateRegressorError, IncompleteSampleError, InputError,
-                     InvalidBandwidthError, InvalidScaleError, InvalidStartError,
-                     NonCoerciveLossError, NonFiniteSampleError,
-                     SingularDesignError, UnsupportedDimensionError)
+from .errors import InputError
 from .kernels import MollifierKernel, gaussian_kernel
 from .losses import LossSpec, check_loss
 from .mollify import smoothed_loss
@@ -45,7 +42,9 @@ class LinearSample:
 
     The arrays are read-only copies of the caller's, so that the
     least-squares start, computed once per sample, cannot go stale;
-    every entry must be finite.  Samples compare and hash by identity.
+    every entry must be finite.  x has at most two axes; y, e and theta0
+    are vectors, and a row or column of one is raveled.  Samples compare
+    and hash by identity.
     """
 
     x: np.ndarray                      # (n, d)
@@ -55,16 +54,22 @@ class LinearSample:
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
+        if x.ndim > 2:
+            raise InputError(f"x must have at most 2 axes, got shape {x.shape}")
         if x.shape[0] == 1 and np.asarray(self.y).size != 1:
             x = x.T
         _freeze(self, "x", x)
         for name in ("y", "e", "theta0"):
-            if getattr(self, name) is not None:
-                _freeze(self, name, np.ravel(getattr(self, name)))
+            value = getattr(self, name)
+            if value is not None:
+                if sum(k > 1 for k in np.shape(value)) > 1:
+                    raise InputError(f"{name} must be a vector, got shape "
+                                     f"{np.shape(value)}")
+                _freeze(self, name, np.ravel(value))
         for name in ("x", "y", "e", "theta0"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value).all():
-                raise NonFiniteSampleError(f"{name} holds a non-finite value")
+                raise InputError(f"{name} holds a non-finite value")
         y = self.y
         n, d = self.x.shape
         if y.size != n:
@@ -77,7 +82,7 @@ class LinearSample:
             raise InputError("theta0 must have one entry per regressor")
         if self.e is not None and self.theta0 is not None:
             if not np.abs(y - (self.x @ self.theta0 + self.e)).max() <= 1e-9:
-                raise ValueError("y does not equal x @ theta0 + e")  # a program fault
+                raise InputError("y does not equal x @ theta0 + e")
 
     @property
     def n(self) -> int:
@@ -89,7 +94,7 @@ class LinearSample:
 
     def require_truth(self):
         if self.e is None or self.theta0 is None:
-            raise IncompleteSampleError("sample lacks true errors/parameters")
+            raise InputError("sample lacks true errors/parameters")
 
     @cached_property
     def _least_squares(self) -> tuple[np.ndarray, bool]:
@@ -156,14 +161,14 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
     Converged means the gradient's max norm fell below _GRAD_TOL * n
     within _MAX_ITER Newton steps.  Non-convergence is reported in the
     result, not raised.  A scale at which the Hessian could overflow,
-    n * max x^2 * max |rho_m''| not finite, raises InvalidScaleError.
+    n * max x^2 * max |rho_m''| not finite, raises InputError.
     """
     if not loss.coercive:
-        raise NonCoerciveLossError(f"{loss.label} has no coercive objective")
+        raise InputError(f"{loss.label} has no coercive objective")
     x, y = sample.x, sample.y
     theta, full_rank = sample._least_squares
     if not full_rank:
-        raise SingularDesignError("design matrix is rank deficient")
+        raise InputError("design matrix is rank deficient")
     if start is not None:
         try:
             theta = np.array(start, dtype=float)
@@ -171,14 +176,14 @@ def fit_smoothed(sample: LinearSample, loss: LossSpec, kernel: MollifierKernel,
             theta = None                # not convertible to floats
         if (theta is None or theta.shape != (sample.d,)
                 or not np.isfinite(theta).all()):
-            raise InvalidStartError(f"start must be a finite vector of "
-                                    f"{sample.d} entries, got {start!r}")
+            raise InputError(f"start must be a finite vector of "
+                             f"{sample.d} entries, got {start!r}")
     smoother = smoothed_loss(loss, kernel, float(m))
     n, d = x.shape
     # every Hessian entry is at most n * max x^2 * max |rho_m''|
     if not isfinite(n * sample._max_x2 * smoother.curvature_bound):
-        raise InvalidScaleError(f"smoothing scale {m:g} is too large for this "
-                                "design: the Hessian's bound overflows")
+        raise InputError(f"smoothing scale {m:g} is too large for this "
+                         "design: the Hessian's bound overflows")
     resid = y - x @ theta
     obj = float(smoother.value(resid).sum())
     tol = _GRAD_TOL * n
@@ -231,10 +236,10 @@ def fit_exact_scalar_quantile(sample: LinearSample, tau: float) -> float:
     """
     check_loss(tau)                                 # the check loss's tau rule
     if sample.d != 1:
-        raise UnsupportedDimensionError("exact solver needs d = 1")
+        raise InputError("exact solver needs d = 1")
     x = sample.x[:, 0]
     if np.any(x == 0.0):
-        raise DegenerateRegressorError("every x_i must be nonzero")
+        raise InputError("every x_i must be nonzero")
     y = sample.y
     b = y / x
     absx = np.abs(x)
@@ -253,9 +258,9 @@ def fit_exact_scalar_quantile(sample: LinearSample, tau: float) -> float:
 
 
 def bandwidth_scale(h: float) -> float:
-    """The baseline's scale 1/h; InvalidBandwidthError unless 0 < h < 1."""
+    """The baseline's scale 1/h; InputError unless 0 < h < 1."""
     if not 0.0 < h < 1.0:
-        raise InvalidBandwidthError(f"bandwidth must lie in (0, 1), got {h}")
+        raise InputError(f"bandwidth must lie in (0, 1), got {h}")
     return 1.0 / h
 
 

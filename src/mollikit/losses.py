@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _as_same
-from .errors import CurvatureUndefinedError, InputError
+from .errors import InputError
 
 ABSOLUTE = "absolute"
 CHECK = "check"
@@ -192,7 +192,7 @@ def expected_curvature(loss: LossSpec, density) -> float:
     for loc, mass in measure.jumps:
         val = float(density.pdf(loc))
         if not np.isfinite(val):
-            raise CurvatureUndefinedError(
+            raise InputError(
                 f"curvature undefined: density not evaluable at {loc}")
         a += mass * val
     for lo, hi, val in measure.density:

@@ -40,7 +40,7 @@ from math import isfinite
 import numpy as np
 
 from .distributions import _as_same
-from .errors import InvalidGridError, InvalidScaleError
+from .errors import InputError
 # kernel_cdf and kernel_partial_moment: perfbench/tracing.py binds them here
 from .kernels import (MollifierKernel, _excess, _integral,  # noqa: F401
                       kernel_abs_moment, kernel_cdf, kernel_partial_moment,
@@ -151,14 +151,16 @@ def _value_quadrature(s: PartialMomentSmoother, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def smooth_value(s: PartialMomentSmoother, u) -> float | np.ndarray:
-    """Smoothed loss value at u (scalar or array)."""
+    """Smoothed loss value at u (scalar or array of any shape)."""
     if s.kernel.kind == "gaussian":
         return s.value(u)
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    arr = np.asarray(u, dtype=float)
+    flat = arr.ravel()                  # the quadrature takes one row per point
     # past _FAR the value is the loss itself, as in s.value
-    far = np.abs(arr) > _FAR
-    near = _value_quadrature(s, np.where(far, 0.0, arr))
-    return _as_same(u, np.where(far, loss_value(s.loss, arr), near))
+    far = np.abs(flat) > _FAR
+    near = _value_quadrature(s, np.where(far, 0.0, flat))
+    out = np.where(far, loss_value(s.loss, flat), near)
+    return _as_same(u, out.reshape(arr.shape))
 
 
 def smooth_derivative(s: PartialMomentSmoother, u) -> float | np.ndarray:
@@ -171,7 +173,7 @@ def sup_error(s: PartialMomentSmoother, grid) -> float:
     nonempty grid of finite points."""
     pts = np.asarray(grid, dtype=float).ravel()
     if pts.size == 0 or not np.all(np.isfinite(pts)):
-        raise InvalidGridError("grid must be nonempty and finite")
+        raise InputError("grid must be nonempty and finite")
     return float(np.max(np.abs(smooth_value(s, pts) - loss_value(s.loss, pts))))
 
 
@@ -180,17 +182,17 @@ def sup_error(s: PartialMomentSmoother, grid) -> float:
 # ---------------------------------------------------------------------------
 
 def check_scale(loss: LossSpec, m: float) -> None:
-    """Raise InvalidScaleError unless `loss` can be smoothed at scale m:
+    """Raise InputError unless `loss` can be smoothed at scale m:
     m finite and at least _MIN_SCALE (below it, `smooth_value`'s far
     mask, which takes the loss itself past |u| = _FAR, could catch a
     point still within the kernel's reach of a kink), and m times each
     subgradient jump finite (the second derivative's weights)."""
     if not _MIN_SCALE <= m < np.inf:
-        raise InvalidScaleError(f"smoothing scale must be finite and at "
-                                f"least {_MIN_SCALE:g}, got {m}")
+        raise InputError(f"smoothing scale must be finite and at "
+                         f"least {_MIN_SCALE:g}, got {m}")
     if not all(isfinite(float(m) * mass) for _, mass in loss_curvature(loss).jumps):
-        raise InvalidScaleError(f"smoothing scale {m:g} is too large: m times "
-                                "the subgradient's jumps overflows")
+        raise InputError(f"smoothing scale {m:g} is too large: m times "
+                         "the subgradient's jumps overflows")
 
 
 class PartialMomentSmoother:
@@ -250,10 +252,13 @@ class PartialMomentSmoother:
     def terms(self, u, orders: tuple[int, ...]) -> tuple:
         """The derivatives of the given orders at u (0 is the value), each
         from one kernel integral; orders is an increasing tuple drawn from
-        (0, 1, 2).  Each is a float for scalar u, else an array.  Far from
-        every kink, and at +/-inf, every order is its limit: the loss, its
-        subgradient and 0."""
+        (0, 1, 2).  Each is a float for scalar u, else an array of u's
+        shape, whatever its number of axes.  Far from every kink, and at
+        +/-inf, every order is its limit: the loss, its subgradient and 0."""
         arr = np.asarray(u, dtype=float)
+        if arr.ndim > 1:                # the kinks broadcast along one axis
+            return tuple(res.reshape(arr.shape)
+                         for res in self.terms(arr.ravel(), orders))
         # t = m*(k - u) from k - u clipped to the reach (NaN stays NaN): a
         # far t is the reach to a few ulp, finite at every scale
         m, r = self.m, self._reach_m
@@ -320,7 +325,7 @@ def expected_derivative_gap(loss: LossSpec, kernel: MollifierKernel, m: float,
     0 on the bump (past k +/- 1/m) and below 6e-16 * pdf per unit
     subgradient jump on the Gaussian, so the density's shape never
     decides the panels.  A scale whose windows need more than
-    _GAP_PANELS panels raises InvalidScaleError: below m ~ 9.8e-4 on
+    _GAP_PANELS panels raises InputError: below m ~ 9.8e-4 on
     the Gaussian kernel and 1.2e-4 on the bump, for one kink.
     """
     s = smoothed_loss(loss, kernel, m)
@@ -328,7 +333,7 @@ def expected_derivative_gap(loss: LossSpec, kernel: MollifierKernel, m: float,
                        for b in (0.0, *_base_breaks(kernel))])
     cuts = np.ceil(np.diff(edges) / 2.0)
     if cuts.sum() > _GAP_PANELS:
-        raise InvalidScaleError(
+        raise InputError(
             f"smoothing scale {m:g} is too small for the derivative gap: "
             f"it needs {cuts.sum():.3g} panels, more than {_GAP_PANELS}")
     breaks = np.concatenate(

@@ -11,8 +11,11 @@ smoothed fit and the quadratic-surrogate minimizer.
 Both drivers share one replication path.  `_record` draws replication
 j, hands it to the experiment's fit body (`_rmse_fits` or `_mad_fits`,
 which fill in the record's fields and return their fits) and marks the
-record excluded on non-convergence or a library error; `_run` runs the
-records inline or in a process pool and applies the 1% exclusion gate.
+record excluded when a fit does not converge or the fit body raises a
+library error (`InputError` for a sample it refuses) or a LinAlgError;
+the draw runs outside that catch, so a generator that cannot build its
+sample crashes the run.  `_run` runs the records inline or in a process
+pool and applies the 1% exclusion gate.
 Both fit bodies start every smoothed fit from the replication's exact
 quantile fit, which lies within about 0.1 of each smoothed minimizer,
 so Newton needs fewer passes than from least squares.
@@ -43,8 +46,9 @@ from .quadratic import beta_Q, beta_gap, build_quadratic
 
 THETA0 = 1.0
 
-# A replication raising a library or linear-algebra error is excluded; any
-# other exception (a FloatingPointError under np.seterr too) propagates.
+# A fit body raising a library or linear-algebra error excludes its
+# replication; any other exception (a FloatingPointError under np.seterr
+# too), and any from the sample generator, propagates.
 _REPLICATION_ERRORS = (MollikitError, np.linalg.LinAlgError)
 
 _DIST_ALIASES = {
@@ -241,8 +245,9 @@ def _record(fits: Callable, config: ExperimentConfig, generator: Callable,
     """Audit record of replication j: its seed, the fields `fits` fills
     in, and whether (and why) it is excluded."""
     rec = {"replication": j, "seed": f"{config.base_seed}:{j}", "failed": False}
+    sample = generator(config, j)       # outside the try: its faults propagate
     try:
-        results = fits(rec, config, generator(config, j))
+        results = fits(rec, config, sample)
         ok = all(fit.converged for fit in results)
         rec["failed"] = not ok
         if not ok:

@@ -21,8 +21,7 @@ from math import log, sqrt
 
 import numpy as np
 
-from .errors import (IncompleteSampleError, InputError, InvalidCurvatureError,
-                     InvalidGridError, InvalidPointError, SingularGramError)
+from .errors import InputError
 from .estimator import LinearSample
 from .kernels import MollifierKernel
 from .losses import LossSpec, loss_subgradient, loss_value
@@ -43,8 +42,8 @@ def _points(beta, d: int) -> np.ndarray:
     """beta, one point of d entries or a (P, d) array, as (P, d) points."""
     pts = np.atleast_2d(np.asarray(beta, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != d:
-        raise InvalidPointError(f"points need {d} entries each, "
-                                f"got an array of shape {np.shape(beta)}")
+        raise InputError(f"points need {d} entries each, "
+                         f"got an array of shape {np.shape(beta)}")
     return pts
 
 
@@ -68,9 +67,9 @@ def build_quadratic(sample: LinearSample, loss: LossSpec,
     plug-in curvature_plugin below.
     """
     if not a > 0:
-        raise InvalidCurvatureError(f"curvature constant must be > 0, got {a}")
+        raise InputError(f"curvature constant must be > 0, got {a}")
     if sample.e is None:
-        raise IncompleteSampleError("sample lacks true errors")
+        raise InputError("sample lacks true errors")
     n = sample.n
     psi = loss_subgradient(loss, sample.e)
     score = (sample.x.T @ psi) / sqrt(n)
@@ -97,7 +96,7 @@ def beta_Q(q: QuadraticApprox) -> np.ndarray:
     """Unique minimizer of the surrogate: (a * gram)^{-1} score."""
     eig = np.linalg.eigvalsh(q.gram)
     if eig[0] <= 1e-12 * max(1.0, eig[-1]):
-        raise SingularGramError("gram matrix is singular")
+        raise InputError("gram matrix is singular")
     return np.linalg.solve(q.a * q.gram, q.score)
 
 
@@ -115,7 +114,7 @@ def approximation_gap(sample: LinearSample, loss: LossSpec, a: float,
                       radius: float) -> float:
     """max over the probe points of |recentred loss - surrogate| in the ball."""
     if not 0.0 < radius < np.inf:
-        raise InvalidGridError(f"probe radius must be finite and > 0, got {radius}")
+        raise InputError(f"probe radius must be finite and > 0, got {radius}")
     pts = probe_ball(sample.d, radius, _PROBES)
     gap = tilde_L(sample, loss, pts) - q_value(build_quadratic(sample, loss, a), pts)
     return float(np.max(np.abs(gap)))

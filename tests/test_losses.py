@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from mollikit.distributions import ErrorDensity, standard_normal, student_t4
-from mollikit.errors import CurvatureUndefinedError, InputError
+from mollikit.errors import InputError
 from mollikit.kernels import bump_kernel, gaussian_kernel
 from mollikit.losses import (CurvatureMeasure, LossSpec, absolute_loss,
                              check_loss, expected_curvature, huber_loss,
@@ -210,7 +210,7 @@ def test_expected_curvature_rejects_unevaluable_density():
     bad = ErrorDensity(name="bad",
                        pdf=lambda u: np.where(np.asarray(u) == 0.0, np.nan, 1.0),
                        cdf=lambda u: u)
-    with pytest.raises(CurvatureUndefinedError):
+    with pytest.raises(InputError, match="density not evaluable at 0"):
         expected_curvature(check_loss(0.5), bad)
 
 

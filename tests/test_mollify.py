@@ -9,7 +9,7 @@ from scipy.special import expit
 from mollikit import kernels, mollify
 from mollikit.distributions import (ErrorDensity, normal_pdf, standard_normal,
                                     t4_pdf)
-from mollikit.errors import InvalidGridError, InvalidScaleError
+from mollikit.errors import InputError
 from mollikit.kernels import (bump_kernel, gaussian_kernel, kernel_abs_moment,
                               kernel_cdf, kernel_excess, kernel_partial_moment,
                               kernel_value)
@@ -39,20 +39,20 @@ QUADRATURE = (mollify._value_quadrature, derivative_quadrature,
 # ---------------------------------------------------------------------------
 
 def test_scale_validation():
-    with pytest.raises(InvalidScaleError):
+    with pytest.raises(InputError, match="scale must be finite and at least"):
         smoothed_loss(absolute_loss(), BUMP, 0.0)
-    with pytest.raises(InvalidScaleError):
+    with pytest.raises(InputError, match="scale must be finite and at least"):
         smoothed_loss(absolute_loss(), BUMP, -3.0)
-    with pytest.raises(InvalidScaleError):
+    with pytest.raises(InputError, match="scale must be finite and at least"):
         PartialMomentSmoother(absolute_loss(), BUMP, 0.0)
     # below 1e-140, |u| = 1e150 would not be far from a kink in kernel
     # space, where every order takes its limit
     for m in (np.inf, np.nan, 1e-160):
-        with pytest.raises(InvalidScaleError):
+        with pytest.raises(InputError, match="scale must be finite and at least"):
             PartialMomentSmoother(absolute_loss(), GAUSS, m)
-        with pytest.raises(InvalidScaleError):
+        with pytest.raises(InputError, match="scale must be finite and at least"):
             smoothed_loss(absolute_loss(), BUMP, m)
-        with pytest.raises(InvalidScaleError):
+        with pytest.raises(InputError, match="scale must be finite and at least"):
             mollify.check_scale(check_loss(0.3), m)
     mollify.check_scale(check_loss(0.3), 1e-140)
 
@@ -221,6 +221,25 @@ def test_derivative_chain(loss, kern):
                   + 1e-5 * m)
 
 
+@pytest.mark.parametrize("kern", [BUMP, GAUSS], ids=lambda k: k.kind)
+@pytest.mark.parametrize("loss", CATALOG, ids=lambda lo: lo.label)
+def test_any_shape_is_the_flat_evaluation_reshaped(loss, kern):
+    # the kinks broadcast along one axis of u: on a (2, 3) array Huber's
+    # two kinks were paired with its two rows, giving wrong values and
+    # no error, and a one-kink loss raised numpy's "not aligned"
+    s = smoothed_loss(loss, kern, 5.0)
+    rng = np.random.default_rng(33)
+    for u in (np.array([[0.9, 1.0, 1.1], [-1.1, -1.0, -0.9]]),
+              rng.uniform(-1.5, 1.5, (2, 2, 2))):
+        flat = u.ravel()
+        for order in ((0,), (1,), (2,), (1, 2), (0, 1, 2)):
+            for got, want in zip(s.terms(u, order), s.terms(flat, order)):
+                assert got.shape == u.shape
+                assert np.array_equal(got, want.reshape(u.shape))
+        for f in (smooth_value, smooth_derivative):
+            assert np.array_equal(f(s, u), f(s, flat).reshape(u.shape))
+
+
 # ---------------------------------------------------------------------------
 # convexity and the uniform bound
 # ---------------------------------------------------------------------------
@@ -280,9 +299,9 @@ def test_sup_error_absolute_bump():
 
 def test_sup_error_empty_grid():
     s = smoothed_loss(absolute_loss(), BUMP, 10.0)
-    with pytest.raises(InvalidGridError):
+    with pytest.raises(InputError, match="grid must be nonempty and finite"):
         sup_error(s, [])
-    with pytest.raises(InvalidGridError, match="nonempty"):
+    with pytest.raises(InputError, match="nonempty"):
         sup_error(s, np.empty((0, 3)))
 
 
@@ -291,9 +310,9 @@ def test_sup_error_refuses_non_finite_grid(kern):
     # |rho_m - rho| at +/-inf is inf - inf; a typed error, not NaN
     s = smoothed_loss(absolute_loss(), kern, 10.0)
     for bad in ([0.0, np.inf], [-np.inf, 0.0], [np.nan], [0.5, np.nan, 1.0]):
-        with pytest.raises(InvalidGridError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             sup_error(s, bad)
-        with pytest.raises(InvalidGridError):
+        with pytest.raises(InputError, match="grid must be nonempty and finite"):
             sup_error(s, bad)
 
 
@@ -700,9 +719,9 @@ def test_scale_overflowing_the_jumps_is_refused():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kern in (GAUSS, BUMP):
-            with pytest.raises(InvalidScaleError, match="too large"):
+            with pytest.raises(InputError, match="too large"):
                 PartialMomentSmoother(absolute_loss(), kern, 1e308)
-            with pytest.raises(InvalidScaleError, match="too large"):
+            with pytest.raises(InputError, match="too large"):
                 mollify.check_scale(absolute_loss(), 1e308)
             # check:0.3 jumps by 1 and Huber not at all: both finite
             s = PartialMomentSmoother(check_loss(0.3), kern, 1e308)
@@ -811,7 +830,7 @@ def test_expected_derivative_gap_refuses_too_small_scale(kern):
     # at m = 1e-6 the kernel's window spans millions; resolving the
     # density across it would take more than _GAP_PANELS panels
     for loss in CATALOG:
-        with pytest.raises(InvalidScaleError, match="too small"):
+        with pytest.raises(InputError, match="too small"):
             expected_derivative_gap(loss, kern, 1e-6, standard_normal())
 
 

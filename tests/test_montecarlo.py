@@ -11,9 +11,7 @@ import pytest
 from scipy.stats import t as student_t
 
 from mollikit import montecarlo
-from mollikit.errors import (ExperimentError, InputError, InvalidBandwidthError,
-                             InvalidScaleError, MollikitError,
-                             SingularDesignError)
+from mollikit.errors import ExperimentError, InputError, MollikitError
 from mollikit.estimator import (LinearSample, fit_convolution_baseline,
                                 fit_smoothed)
 from mollikit.kernels import bump_kernel
@@ -46,6 +44,15 @@ def _zero_error_generator(config, j):
     return LinearSample(x=xmat, y=xmat @ theta0 + e, e=e, theta0=theta0)
 
 
+def _zero_regressor(sample):
+    """sample with x_0 = 0, which the exact quantile fit, run in every
+    replication's fit body, refuses as bad input."""
+    x = sample.x.copy()
+    x[0] = 0.0
+    return LinearSample(x=x, y=x @ sample.theta0 + sample.e, e=sample.e,
+                        theta0=sample.theta0)
+
+
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
@@ -60,14 +67,14 @@ def test_config_validation():
             _cfg(tau=tau)
     with pytest.raises(InputError):
         _cfg(error_dist="cauchy")
-    with pytest.raises(InvalidScaleError):
+    with pytest.raises(InputError, match="scale must be finite and at least"):
         _cfg(m_list=(0.0,))
-    with pytest.raises(InvalidBandwidthError, match="bandwidth must lie in"):
+    with pytest.raises(InputError, match="bandwidth must lie in"):
         _cfg(h_list=(1.5,))
     with pytest.raises(InputError):
         _cfg(kernel="uniform")
     for m in (float("nan"), float("inf")):
-        with pytest.raises(InvalidScaleError):
+        with pytest.raises(InputError, match="scale must be finite and at least"):
             _cfg(m_list=(5.0, m))
     with pytest.raises(InputError):
         _cfg(m_list="15")
@@ -95,7 +102,7 @@ def test_config_validation():
     # the smoothers' own scale rule, before any replication runs: m below
     # 1e-140, and h whose scale 1/h overflows
     for bad in (dict(m_list=(5.0, 1e-150)), dict(h_list=(0.5, 5e-324))):
-        with pytest.raises(InvalidScaleError):
+        with pytest.raises(InputError, match="scale must be finite and at least"):
             _cfg(**bad)
     assert _cfg(m_list=(1e-140, 1e300), h_list=(1e-300,)).m_list == (1e-140, 1e300)
 
@@ -329,24 +336,32 @@ def test_fits_from_the_exact_fit_need_fewer_smoother_calls(monkeypatch):
 
 def test_exclusion_gate_trips():
     def broken(config, j):
-        raise SingularDesignError("boom")
+        return _zero_regressor(generate_sample(config, j))
 
-    with pytest.raises(ExperimentError):
-        run_rmse_experiment(_cfg(replications=10), generator=broken)
+    for run in (run_rmse_experiment, run_mad_experiment):
+        with pytest.raises(ExperimentError, match="10/10 replications failed"):
+            run(_cfg(replications=10), generator=broken)
 
 
 def test_generator_breaking_the_model_crashes_the_run():
-    # y != x theta0 + e is a program fault, not bad input: it propagates
-    # from the replication instead of being recorded as an exclusion
-    def broken(config, j):
+    # a generator runs before the replication's fits, so a sample it
+    # cannot build is a program fault: it propagates instead of being
+    # recorded as an exclusion
+    def off_model(config, j):
         s = _zero_error_generator(config, j)
         return LinearSample(x=s.x, y=s.y + 1.0, e=s.e, theta0=s.theta0)
 
-    with pytest.raises(ValueError, match="does not equal") as err:
-        montecarlo._record(montecarlo._rmse_fits, _cfg(), broken, 0)
-    assert not isinstance(err.value, MollikitError)
-    with pytest.raises(ValueError, match="does not equal"):
-        run_rmse_experiment(_cfg(replications=3), generator=broken)
+    def short_errors(config, j):
+        s = _zero_error_generator(config, j)
+        return LinearSample(x=s.x, y=s.y, e=s.e[1:], theta0=s.theta0)
+
+    for broken, message in ((off_model, "does not equal"),
+                            (short_errors, "e must have one entry per")):
+        with pytest.raises(InputError, match=message):
+            montecarlo._record(montecarlo._rmse_fits, _cfg(), broken, 0)
+        for run in (run_rmse_experiment, run_mad_experiment):
+            with pytest.raises(InputError, match=message):
+                run(_cfg(replications=3), generator=broken)
 
 
 def test_scale_overflowing_the_hessian_fails_every_replication(monkeypatch):
@@ -366,21 +381,20 @@ def test_scale_overflowing_the_hessian_fails_every_replication(monkeypatch):
     assert len(records) == 4
     for rec in records:
         assert rec["failed"]
-        assert rec["error"].startswith("InvalidScaleError: smoothing scale 1e+308")
+        assert rec["error"].startswith("InputError: smoothing scale 1e+308")
         assert "Hessian" in rec["error"]
 
 
 def test_exclusion_audit_below_gate():
     def flaky(config, j):
-        if j == 0:
-            raise SingularDesignError("boom")
-        return generate_sample(config, j)
+        sample = generate_sample(config, j)
+        return _zero_regressor(sample) if j == 0 else sample
 
     cfg = _cfg(replications=200)
     res = run_rmse_experiment(cfg, generator=flaky)
     assert res.excluded == 1
     assert res.records[0]["failed"]
-    assert "boom" in res.records[0]["error"]
+    assert res.records[0]["error"] == "InputError: every x_i must be nonzero"
 
 
 def _summaries(res):
@@ -403,9 +417,8 @@ def test_unconverged_fit_excludes_its_replication(run, monkeypatch):
         return sample
 
     def dropping(config, j):
-        if j == 3:
-            raise SingularDesignError("dropped")
-        return generate_sample(config, j)
+        sample = generate_sample(config, j)
+        return _zero_regressor(sample) if j == 3 else sample
 
     def unconverged(sample, *args, **kw):
         fit = fit_smoothed(sample, *args, **kw)

@@ -8,17 +8,22 @@ from mollikit import cli, errors, estimator, kernels, mollify, quadratic
 
 SRC = Path(mollikit.__file__).parent
 
-# The only raises of a built-in exception in the library, each with its
-# reason; every other refusal is a MollikitError.  Keyed by file and the
+# The library's raises name InputError or ExperimentError, but for these,
+# each with its reason.  Keyed by file, the raised type as written and the
 # message's literal text, with {} where a value is formatted in.
 PLAIN_RAISES = {
-    ("estimator.py", "y does not equal x @ theta0 + e"):
-        "a sample generator that breaks the model is a program fault; typed, "
-        "a run would record it as an excluded replication instead of crashing",
-    ("montecarlo.py", "non-finite or negative summary values: {}"):
+    ("montecarlo.py", "ValueError", "non-finite or negative summary values: {}"):
         "the summaries are computed by the library itself, so a bad one is a "
         "program fault, which must crash rather than read as bad input",
 }
+OTHER_RAISES = {
+    ("estimator.py", "np.linalg.LinAlgError", "Singular matrix"):
+        "_solve stands in for np.linalg.solve, so it raises what that raises",
+    ("cli.py", "argparse.ArgumentTypeError", "must be an integer >= 1, got {}"):
+        "argparse's own protocol for a bad option value: usage and exit 2",
+}
+LIBRARY_RAISES = {"InputError", "ExperimentError"}
+ERROR_CLASSES = ["MollikitError", "InputError", "ExperimentError"]
 
 
 def test_public_names_resolve_once():
@@ -43,6 +48,13 @@ def test_public_names_resolve_once():
                         (kernels, "_integrals"),
                         (cli, "UsageError")):
         assert not hasattr(owner, gone)
+    for gone in ("InvalidScaleError", "InvalidGridError", "IncompleteSampleError",
+                 "SingularDesignError", "NonCoerciveLossError",
+                 "DegenerateRegressorError", "UnsupportedDimensionError",
+                 "InvalidBandwidthError", "InvalidCurvatureError",
+                 "SingularGramError", "NonFiniteSampleError", "InvalidStartError",
+                 "CurvatureUndefinedError", "InvalidPointError"):
+        assert not hasattr(errors, gone)
     assert find_spec("mollikit.quadrature") is None
 
 
@@ -57,21 +69,32 @@ def _message(call) -> str:
     return ""
 
 
-def _builtin_raises(tree, filename):
+def _raises(tree, filename):
+    """(file, raised type as written, message) of each raise that names
+    an exception; a bare re-raise names none."""
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Raise) or node.exc is None:
-            continue
-        target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        kind = getattr(builtins, getattr(target, "id", ""), None)
-        if isinstance(kind, type) and issubclass(kind, BaseException):
-            yield filename, _message(node.exc)
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield filename, ast.unparse(target), _message(node.exc)
+
+
+def _is_builtin(kind: str) -> bool:
+    found = getattr(builtins, kind, None)
+    return isinstance(found, type) and issubclass(found, BaseException)
 
 
 def test_bad_input_raises_only_library_errors():
     found = [site for path in sorted(SRC.glob("*.py"))
-             for site in _builtin_raises(ast.parse(path.read_text()), path.name)]
-    assert sorted(found) == sorted(PLAIN_RAISES)
-    assert all(reason for reason in PLAIN_RAISES.values())
+             for site in _raises(ast.parse(path.read_text()), path.name)]
+    assert sorted(s for s in found if _is_builtin(s[1])) == sorted(PLAIN_RAISES)
+    others = [s for s in found
+              if s[1] not in LIBRARY_RAISES and not _is_builtin(s[1])]
+    assert sorted(others) == sorted(OTHER_RAISES)
+    assert all({**PLAIN_RAISES, **OTHER_RAISES}.values())
+    # and the library's own types are these three, and no more
+    tree = ast.parse((SRC / "errors.py").read_text())
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)] == ERROR_CLASSES
 
 
 def test_builtin_raise_guard_sees_every_form():
@@ -79,6 +102,11 @@ def test_builtin_raise_guard_sees_every_form():
               "raise TypeError(f'b {x}')\n"
               "raise KeyError\n"
               "raise errors.InputError('c')\n"
+              "raise np.linalg.LinAlgError(msg)\n"
               "raise\n")
-    assert list(_builtin_raises(ast.parse(source), "m.py")) == [
-        ("m.py", "a"), ("m.py", "b {}"), ("m.py", "")]
+    sites = list(_raises(ast.parse(source), "m.py"))
+    assert sites == [("m.py", "ValueError", "a"), ("m.py", "TypeError", "b {}"),
+                     ("m.py", "KeyError", ""), ("m.py", "errors.InputError", "c"),
+                     ("m.py", "np.linalg.LinAlgError", "")]
+    assert [kind for _, kind, _ in sites if _is_builtin(kind)] == [
+        "ValueError", "TypeError", "KeyError"]
