@@ -133,12 +133,7 @@ def _load_config(path: str, check=None
     """The config file's cells, and whether the file held a list of them.
 
     Every cell is checked before any runs: one bad cell refuses the file.
-    `MOLLIKIT_SEED` replaces every cell's `base_seed`.
     """
-    seed = os.environ.get("MOLLIKIT_SEED")
-    if seed is not None and not (seed.isascii() and seed.isdigit()):
-        raise InputError(f"MOLLIKIT_SEED must be a nonnegative integer, got {seed!r}")
-    base_seed = None if seed is None else int(seed)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -151,7 +146,7 @@ def _load_config(path: str, check=None
     for i, cell in enumerate(data if is_list else [data]):
         where = f"cell {i}: " if is_list else ""
         try:
-            configs.append(montecarlo.ExperimentConfig.from_dict(cell, base_seed))
+            configs.append(montecarlo.ExperimentConfig.from_dict(cell))
             if check is not None:
                 check(configs[-1])
         except MollikitError as exc:

@@ -55,11 +55,9 @@ def bump_kernel() -> MollifierKernel:
 def parse_kernel(text: str) -> MollifierKernel:
     """Parse the CLI kernel grammar: "gaussian" or "bump"."""
     name = text.strip().lower()
-    if name in (GAUSSIAN, "normal", "gauss"):
-        return gaussian_kernel()
-    if name in (BUMP, "compact", "compact_bump"):
-        return bump_kernel()
-    raise InputError(f"unknown kernel {text!r} (expected gaussian|bump)")
+    if name not in (GAUSSIAN, BUMP):
+        raise InputError(f"unknown kernel {text!r} (expected gaussian|bump)")
+    return MollifierKernel(name)
 
 
 def _bump_raw(v: np.ndarray) -> np.ndarray:

@@ -9,12 +9,14 @@ a MAD experiment measuring the distance between the normalized
 smoothed fit and the quadratic-surrogate minimizer.
 
 Both drivers share one replication path.  `_record` draws replication
-j, hands it to the experiment's fit body (`_rmse_fits` or `_mad_fits`,
-which fill in the record's fields and return their fits) and marks the
-record excluded when a fit does not converge or the fit body raises a
-library error (`InputError` for a sample it refuses) or a LinAlgError;
-the draw runs outside that catch, so a generator that cannot build its
-sample crashes the run.  `_run` runs the records inline or in a process
+j with `generate_sample`, hands it to the experiment's fit body
+(`_rmse_fits` or `_mad_fits`, which fill in the record's fields and
+return their fits) and marks the record excluded when a fit does not
+converge or the fit body raises a library error (`InputError` for a
+sample it refuses) or a LinAlgError; the draw runs outside that catch,
+so a sample that cannot be built crashes the run.  `generate_sample` is
+looked up when each record is drawn, so a test substitutes it with
+`monkeypatch.setattr`.  `_run` runs the records inline or in a process
 pool and applies the 1% exclusion gate.
 Both fit bodies start every smoothed fit from the replication's exact
 quantile fit, which lies within about 0.1 of each smoothed minimizer,
@@ -27,7 +29,7 @@ count and any replication order, and extending M preserves the prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from numbers import Integral, Real
 from typing import Callable
 
@@ -51,16 +53,11 @@ THETA0 = 1.0
 # too), and any from the sample generator, propagates.
 _REPLICATION_ERRORS = (MollikitError, np.linalg.LinAlgError)
 
-_DIST_ALIASES = {
-    "normal01": "normal01", "normal": "normal01", "gaussian": "normal01",
-    "t4": "t4", "student_t4": "t4",
-}
-
 
 def _dist_key(name: str) -> str:
-    key = _DIST_ALIASES.get(name.lower())
-    if key is None:
-        raise InputError(f"unknown error distribution {name!r}")
+    key = name.strip().lower()
+    if key not in ("normal01", "t4"):
+        raise InputError(f"unknown error distribution {name!r} (expected normal01|t4)")
     return key
 
 
@@ -124,25 +121,19 @@ class ExperimentConfig:
             check_scale(loss, m)        # each h by its own rule first
 
     @classmethod
-    def from_dict(cls, data, base_seed: int | None = None) -> "ExperimentConfig":
-        """The config of a JSON cell; `base_seed`, if given, replaces its own."""
+    def from_dict(cls, data) -> "ExperimentConfig":
+        """The config of a JSON cell, keyed as `to_dict` writes it."""
         if not isinstance(data, dict):
             raise InputError(f"a cell must be an object, got {type(data).__name__}")
-        known = dict(data) if base_seed is None else {**data, "base_seed": base_seed}
-        if "M" in known and "replications" in known:
-            raise InputError("config gives both 'M' and 'replications'")
-        reps = known.pop("M", known.pop("replications", None))
-        if reps is None:
-            raise InputError("config needs an 'M' entry")
-        missing = {"n", "tau", "error_dist", "m_list"} - set(known)
+        missing = {"n", "M", "tau", "error_dist", "m_list"} - set(data)
         if missing:
             raise InputError(f"config needs entries {sorted(missing)}")
-        allowed = {"n", "tau", "error_dist", "m_list", "h_list",
-                   "base_seed", "kernel"}
-        unknown = set(known) - allowed
+        unknown = set(data) - {"n", "M", "tau", "error_dist", "m_list",
+                               "h_list", "base_seed", "kernel"}
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
-        return cls(replications=reps, **known)
+        known = dict(data)
+        return cls(replications=known.pop("M"), **known)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "M": self.replications, "tau": self.tau,
@@ -205,6 +196,7 @@ class ExperimentResult:
                 "excluded": self.excluded, "records": self.records}
 
 
+@lru_cache(maxsize=None)             # one label string, shared by every record
 def _key(v: float) -> str:
     return f"{v:g}"
 
@@ -240,12 +232,12 @@ def _mad_fits(rec: dict, config: ExperimentConfig, sample: LinearSample,
     return [fit for _, fit in fits]
 
 
-def _record(fits: Callable, config: ExperimentConfig, generator: Callable,
-            j: int) -> dict:
+def _record(fits: Callable, config: ExperimentConfig, j: int) -> dict:
     """Audit record of replication j: its seed, the fields `fits` fills
-    in, and whether (and why) it is excluded."""
+    in, and whether (and why) it is excluded.  The sample comes from the
+    module's `generate_sample` as bound when the record is drawn."""
     rec = {"replication": j, "seed": f"{config.base_seed}:{j}", "failed": False}
-    sample = generator(config, j)       # outside the try: its faults propagate
+    sample = generate_sample(config, j)     # outside the try: faults propagate
     try:
         results = fits(rec, config, sample)
         ok = all(fit.converged for fit in results)
@@ -258,16 +250,15 @@ def _record(fits: Callable, config: ExperimentConfig, generator: Callable,
     return rec
 
 
-def _run(fits: Callable, config: ExperimentConfig, threads: int,
-         generator: Callable | None) -> tuple[list[dict], int, list[dict]]:
+def _run(fits: Callable, config: ExperimentConfig,
+         threads: int) -> tuple[list[dict], int, list[dict]]:
     """Every replication's record, the excluded count and the kept records.
 
-    A test `generator` forces the run inline (hooks cannot cross process
-    boundaries).  More than 1% excluded replications fails the run.
+    More than 1% excluded replications fails the run.
     """
-    task = partial(_record, fits, config, generator or generate_sample)
+    task = partial(_record, fits, config)
     replications = range(config.replications)
-    if generator is None and threads > 1:
+    if threads > 1:
         # the pool (and multiprocessing) loads only for a parallel run
         from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, config.replications // (threads * 8))
@@ -282,14 +273,10 @@ def _run(fits: Callable, config: ExperimentConfig, threads: int,
     return records, excluded, [r for r in records if not r["failed"]]
 
 
-def run_rmse_experiment(config: ExperimentConfig, threads: int = 1,
-                        generator: Callable | None = None) -> ExperimentResult:
-    """RMSE of the exact, smoothed and convolution fits against theta0.
-
-    `generator` is a test hook replacing the sample generator; when set
-    the run is forced inline.
-    """
-    records, excluded, good = _run(_rmse_fits, config, threads, generator)
+def run_rmse_experiment(config: ExperimentConfig,
+                        threads: int = 1) -> ExperimentResult:
+    """RMSE of the exact, smoothed and convolution fits against theta0."""
+    records, excluded, good = _run(_rmse_fits, config, threads)
 
     def rmse(values):
         arr = np.array(values) - THETA0
@@ -313,20 +300,24 @@ def analytic_curvature(config: ExperimentConfig) -> float:
 
 def check_mad_config(config: ExperimentConfig):
     """The MAD experiment is defined for the median only (tau = 0.5),
-    where the analytic curvature constant is the error density at zero."""
+    where the analytic curvature constant is the error density at zero,
+    and fits no convolution baseline, so it takes no h."""
     if config.tau != 0.5:
         raise InputError("the MAD experiment requires tau = 0.5")
+    if config.h_list:
+        raise InputError("the MAD experiment takes no h_list, got "
+                         f"{list(config.h_list)}")
 
 
-def run_mad_experiment(config: ExperimentConfig, threads: int = 1,
-                       generator: Callable | None = None) -> ExperimentResult:
+def run_mad_experiment(config: ExperimentConfig,
+                       threads: int = 1) -> ExperimentResult:
     """Mean absolute distance between the normalized smoothed fit and
     the quadratic-surrogate minimizer, per smoothing scale, with the
     mean sizes of the two it compares: mean|beta_m| per scale and
     mean|beta_Q|."""
     check_mad_config(config)
     fits = partial(_mad_fits, a=analytic_curvature(config))
-    records, excluded, good = _run(fits, config, threads, generator)
+    records, excluded, good = _run(fits, config, threads)
 
     def mean_abs(values):
         return float(np.mean(np.abs(values)))

@@ -270,11 +270,22 @@ def test_mad_cli(tmp_path):
 
 def test_mad_list_refuses_tau_before_any_cell_runs(tmp_path, monkeypatch, capsys):
     _forbid_runs(monkeypatch)
-    cells = [_cell(M=300, tau=0.5), _cell(tau=0.3)]
+    cells = [_cell(M=300, tau=0.5, h_list=[]), _cell(tau=0.3)]
     cfg = _write_cells(tmp_path / "cells.json", cells)
     rc = cli.main(["mad", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "cell 1: the MAD experiment requires tau = 0.5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_mad_refuses_an_h_list(tmp_path, monkeypatch, capsys):
+    # the MAD experiment fits no convolution baseline, so it would echo
+    # an h_list in its results without using it
+    _forbid_runs(monkeypatch)
+    cfg = _write_config(tmp_path / "cfg.json", M=3, tau=0.5, h_list=[0.5])
+    rc = cli.main(["mad", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "the MAD experiment takes no h_list, got [0.5]" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -350,28 +361,6 @@ def test_experiment_quality_failure_exits_3(tmp_path, monkeypatch):
     assert rc == 3
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
-    cfg = _write_config(tmp_path / "cfg.json", base_seed=7, M=3)
-    monkeypatch.setenv("MOLLIKIT_SEED", "123456")
-    rc = cli.main(["simulate", "--config", str(cfg),
-                   "--out", str(tmp_path / "s"), "--threads", "1"])
-    assert rc == 0
-    data = json.loads((tmp_path / "s.json").read_text())
-    assert data["config"]["base_seed"] == 123456
-
-
-def test_seed_env_rejects_non_integers(tmp_path, monkeypatch, capsys):
-    cfg = _write_config(tmp_path / "cfg.json", M=3)
-    for raw in ("abc", "1.5", "-1", ""):
-        monkeypatch.setenv("MOLLIKIT_SEED", raw)
-        rc = cli.main(["simulate", "--config", str(cfg),
-                       "--out", str(tmp_path / "s"), "--threads", "1"])
-        assert rc == 2, raw
-        assert capsys.readouterr().err == (
-            f"error: MOLLIKIT_SEED must be a nonnegative integer, got {raw!r}\n")
-    assert not (tmp_path / "s.json").exists()
-
-
 # ---------------------------------------------------------------------------
 # config files holding a list of cells
 # ---------------------------------------------------------------------------
@@ -386,7 +375,8 @@ def _forbid_runs(monkeypatch):
 
 @pytest.mark.parametrize("command, tau", [("simulate", 0.3), ("mad", 0.5)])
 def test_one_cell_list_matches_object(tmp_path, command, tau):
-    cell = _cell(M=4, tau=tau, m_list=[5, 10])
+    cell = _cell(M=4, tau=tau, m_list=[5, 10],
+                 h_list=[0.5] if command == "simulate" else [])
     obj = _write_cells(tmp_path / "obj.json", cell)
     lst = _write_cells(tmp_path / "list.json", [cell])
     for cfg, out in ((obj, "o"), (lst, "l")):
@@ -400,9 +390,9 @@ def test_one_cell_list_matches_object(tmp_path, command, tau):
     assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
 
 
-def test_list_config_combines_cells(tmp_path, monkeypatch):
-    monkeypatch.setenv("MOLLIKIT_SEED", "99")
-    cells = [_cell(M=3), _cell(M=3, error_dist="normal01", tau=0.7, n=120)]
+def test_list_config_combines_cells(tmp_path):
+    cells = [_cell(M=3, base_seed=99),
+             _cell(M=3, error_dist="normal01", tau=0.7, n=120, base_seed=99)]
     cfg = _write_cells(tmp_path / "cells.json", cells)
     assert cli.main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "s"), "--threads", "1"]) == 0
@@ -417,8 +407,8 @@ def test_list_config_combines_cells(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["simulate", "mad"])
 def test_bad_list_config_runs_nothing(tmp_path, monkeypatch, capsys, command):
     _forbid_runs(monkeypatch)
-    tau = 0.3 if command == "simulate" else 0.5
-    good = _cell(M=3, tau=tau)
+    tau, h_list = (0.3, [0.5]) if command == "simulate" else (0.5, [])
+    good = _cell(M=3, tau=tau, h_list=h_list)
     cases = {
         "empty": ([], "empty"),
         "not an object": ([good, 5], "cell 1: a cell must be an object, got int"),
@@ -465,8 +455,7 @@ def test_list_exclusion_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("name, cells, kind", [("rmse_grid.json", 8, "rmse"),
                                                ("mad_grid.json", 4, "mad")])
-def test_paper_grids_are_valid_configs(monkeypatch, name, cells, kind):
-    monkeypatch.delenv("MOLLIKIT_SEED", raising=False)
+def test_paper_grids_are_valid_configs(name, cells, kind):
     check = cli.montecarlo.check_mad_config if kind == "mad" else None
     configs, is_list = cli._load_config(str(REPO / name), check)
     assert is_list and len(configs) == cells
@@ -524,7 +513,7 @@ def test_diagnose_zero_sup_error_has_no_ratio(tmp_path):
 
 def test_every_subcommand_runs(tmp_path):
     rmse_cfg = _write_config(tmp_path / "rmse.json", M=3)
-    mad_cfg = _write_config(tmp_path / "mad.json", M=3, tau=0.5)
+    mad_cfg = _write_config(tmp_path / "mad.json", M=3, tau=0.5, h_list=[])
     smoothing = ["--loss", "abs", "--kernel", "bump", "--m", "5",
                  "--grid", "-1:1:0.5"]
     argvs = {
@@ -542,9 +531,10 @@ def test_every_subcommand_runs(tmp_path):
     for name, argv in argvs.items():
         assert cli.main([name, *argv]) == 0, name
     # a config may also hold a list of cells
-    for name, tau in (("simulate", 0.3), ("mad", 0.5)):
+    for name, tau, h_list in (("simulate", 0.3, [0.5]), ("mad", 0.5, [])):
         cfg = _write_cells(tmp_path / f"{name}_cells.json",
-                           [_cell(M=3, tau=tau), _cell(M=3, tau=tau, n=120)])
+                           [_cell(M=3, tau=tau, h_list=h_list),
+                            _cell(M=3, tau=tau, h_list=h_list, n=120)])
         out = tmp_path / f"{name}_cells_out"
         assert cli.main([name, "--config", str(cfg), "--out", str(out),
                          "--threads", "1"]) == 0, name

@@ -35,6 +35,11 @@ def _cfg(**kw):
     return ExperimentConfig(**base)
 
 
+# The drivers draw every replication with `montecarlo.generate_sample`;
+# a test substitutes it with monkeypatch and runs at threads=1, so the
+# substitute runs in this process.  `generate_sample` imported above is
+# the original, which substitutes wrap.
+
 def _zero_error_generator(config, j):
     rng = np.random.default_rng(j)
     x = 1.0 + rng.standard_normal(config.n)
@@ -117,9 +122,10 @@ def test_config_json_round_trip(tmp_path):
 
 def test_config_stores_canonical_kernel():
     # like error_dist, the kernel is stored under the name the results
-    # JSON and the benchmark checks compare against
-    for spelling, name in (("Bump", "bump"), (" compact ", "bump"),
-                           ("GAUSS", "gaussian"), ("gaussian", "gaussian")):
+    # JSON and the benchmark checks compare against; only case and
+    # surrounding blanks are folded
+    for spelling, name in (("Bump", "bump"), (" bump ", "bump"),
+                           ("GAUSSIAN", "gaussian"), ("gaussian", "gaussian")):
         cfg = _cfg(kernel=spelling)
         assert cfg.kernel == name
         assert cfg.to_dict()["kernel"] == name
@@ -155,7 +161,7 @@ def test_from_dict_refuses_a_malformed_cell_by_key():
     for cell in ([good], 5, "cell", None):
         with pytest.raises(InputError, match="a cell must be an object"):
             ExperimentConfig.from_dict(cell)
-    for key in ("n", "tau", "error_dist", "m_list"):
+    for key in ("n", "M", "tau", "error_dist", "m_list"):
         short = {k: v for k, v in good.items() if k != key}
         with pytest.raises(InputError, match=re.escape(f"needs entries ['{key}']")):
             ExperimentConfig.from_dict(short)
@@ -163,7 +169,6 @@ def test_from_dict_refuses_a_malformed_cell_by_key():
         for raw in (5, 5.0, None, {"5": 1}):
             with pytest.raises(InputError, match=f"{key} must be a list of numbers"):
                 ExperimentConfig.from_dict({**good, key: raw})
-    assert ExperimentConfig.from_dict(good, base_seed=3).base_seed == 3
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +247,10 @@ def test_generate_sample_index_range():
 # RMSE experiment
 # ---------------------------------------------------------------------------
 
-def test_rmse_zero_error_hook():
+def test_rmse_zero_error_hook(monkeypatch):
+    monkeypatch.setattr(montecarlo, "generate_sample", _zero_error_generator)
     cfg = _cfg(replications=1, m_list=(5.0,), h_list=(0.5,))
-    res = run_rmse_experiment(cfg, generator=_zero_error_generator)
+    res = run_rmse_experiment(cfg, threads=1)
     assert res.rmse_tau == pytest.approx(0.0, abs=1e-8)
     assert res.rmse_m["5"] == pytest.approx(0.0, abs=1e-8)
     assert res.rmse_h["0.5"] == pytest.approx(0.0, abs=1e-6)
@@ -334,16 +340,17 @@ def test_fits_from_the_exact_fit_need_fewer_smoother_calls(monkeypatch):
     assert from_exact <= 0.75 * calls[0]
 
 
-def test_exclusion_gate_trips():
+def test_exclusion_gate_trips(monkeypatch):
     def broken(config, j):
         return _zero_regressor(generate_sample(config, j))
 
+    monkeypatch.setattr(montecarlo, "generate_sample", broken)
     for run in (run_rmse_experiment, run_mad_experiment):
         with pytest.raises(ExperimentError, match="10/10 replications failed"):
-            run(_cfg(replications=10), generator=broken)
+            run(_cfg(replications=10), threads=1)
 
 
-def test_generator_breaking_the_model_crashes_the_run():
+def test_generator_breaking_the_model_crashes_the_run(monkeypatch):
     # a generator runs before the replication's fits, so a sample it
     # cannot build is a program fault: it propagates instead of being
     # recorded as an exclusion
@@ -357,11 +364,12 @@ def test_generator_breaking_the_model_crashes_the_run():
 
     for broken, message in ((off_model, "does not equal"),
                             (short_errors, "e must have one entry per")):
+        monkeypatch.setattr(montecarlo, "generate_sample", broken)
         with pytest.raises(InputError, match=message):
-            montecarlo._record(montecarlo._rmse_fits, _cfg(), broken, 0)
+            montecarlo._record(montecarlo._rmse_fits, _cfg(), 0)
         for run in (run_rmse_experiment, run_mad_experiment):
             with pytest.raises(InputError, match=message):
-                run(_cfg(replications=3), generator=broken)
+                run(_cfg(replications=3), threads=1)
 
 
 def test_scale_overflowing_the_hessian_fails_every_replication(monkeypatch):
@@ -385,13 +393,14 @@ def test_scale_overflowing_the_hessian_fails_every_replication(monkeypatch):
         assert "Hessian" in rec["error"]
 
 
-def test_exclusion_audit_below_gate():
+def test_exclusion_audit_below_gate(monkeypatch):
     def flaky(config, j):
         sample = generate_sample(config, j)
         return _zero_regressor(sample) if j == 0 else sample
 
+    monkeypatch.setattr(montecarlo, "generate_sample", flaky)
     cfg = _cfg(replications=200)
-    res = run_rmse_experiment(cfg, generator=flaky)
+    res = run_rmse_experiment(cfg, threads=1)
     assert res.excluded == 1
     assert res.records[0]["failed"]
     assert res.records[0]["error"] == "InputError: every x_i must be nonzero"
@@ -404,7 +413,7 @@ def _summaries(res):
 
 @pytest.mark.parametrize("run", [run_rmse_experiment, run_mad_experiment])
 def test_unconverged_fit_excludes_its_replication(run, monkeypatch):
-    # the generator hook marks replication 3's sample, and its smoothed
+    # the substitute generator marks replication 3's sample, and its smoothed
     # fit comes back unconverged; the record still holds that fit's
     # fields, so the summaries match a run that drops replication 3
     # before any fit only if they leave the record out
@@ -428,8 +437,10 @@ def test_unconverged_fit_excludes_its_replication(run, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "fit_smoothed", unconverged)
     cfg = _cfg(replications=200)
-    res = run(cfg, generator=marking)
-    dropped = run(cfg, generator=dropping)
+    monkeypatch.setattr(montecarlo, "generate_sample", dropping)
+    dropped = run(cfg, threads=1)
+    monkeypatch.setattr(montecarlo, "generate_sample", marking)
+    res = run(cfg, threads=1)
     assert res.excluded == 1
     assert res.records[3]["failed"]
     assert res.records[3]["error"] == "solver did not converge"
@@ -439,27 +450,11 @@ def test_unconverged_fit_excludes_its_replication(run, monkeypatch):
                  "mean_abs_beta_q"):
         assert getattr(res, name) == getattr(dropped, name), name
     with pytest.raises(ExperimentError):
-        run(_cfg(replications=50), generator=marking)
+        run(_cfg(replications=50), threads=1)
 
 
 @pytest.mark.parametrize("run", [run_rmse_experiment, run_mad_experiment])
-def test_generator_hook_forces_inline(run):
-    # a closure cannot be pickled, so it only runs if the hook keeps the
-    # run in this process whatever the thread count
-    seen = []
-
-    def hook(config, j):
-        seen.append(j)
-        return generate_sample(config, j)
-
-    cfg = _cfg(replications=6, m_list=(5.0, 10.0), h_list=(0.5,))
-    hooked = run(cfg, threads=2, generator=hook)
-    assert seen == list(range(6))
-    assert hooked.to_dict() == run(cfg, threads=1).to_dict()
-
-
-@pytest.mark.parametrize("run", [run_rmse_experiment, run_mad_experiment])
-def test_programming_error_propagates(run):
+def test_programming_error_propagates(run, monkeypatch):
     # only library and linear-algebra errors exclude a replication; a
     # bug, or a FloatingPointError under a caller's np.seterr, must
     # crash, not count as an exclusion
@@ -468,8 +463,9 @@ def test_programming_error_propagates(run):
         def buggy(config, j, error=error):
             raise error
 
+        monkeypatch.setattr(montecarlo, "generate_sample", buggy)
         with pytest.raises(type(error)):
-            run(_cfg(replications=3), generator=buggy)
+            run(_cfg(replications=3), threads=1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +475,17 @@ def test_programming_error_propagates(run):
 def test_mad_requires_median():
     with pytest.raises(InputError):
         run_mad_experiment(_cfg(tau=0.3))
+
+
+def test_mad_refuses_an_h_list(monkeypatch):
+    # the MAD experiment fits no convolution baseline, so an h would be
+    # echoed in the results without ever being used
+    def never(config, j):
+        raise AssertionError("no replication may run when the config is refused")
+
+    monkeypatch.setattr(montecarlo, "generate_sample", never)
+    with pytest.raises(InputError, match=re.escape("takes no h_list, got [0.5]")):
+        run_mad_experiment(_cfg(h_list=(0.5,)), threads=1)
 
 
 def test_analytic_curvature_values():

@@ -1,10 +1,16 @@
 import ast
 import builtins
+import inspect
+import re
 from importlib.util import find_spec
 from pathlib import Path
 
+import pytest
+
 import mollikit
-from mollikit import cli, errors, estimator, kernels, mollify, quadratic
+from mollikit import (cli, errors, estimator, kernels, mollify, montecarlo,
+                      quadratic)
+from mollikit.errors import InputError
 
 SRC = Path(mollikit.__file__).parent
 
@@ -46,7 +52,8 @@ def test_public_names_resolve_once():
                         (quadratic, "minimizer_gap"),
                         (kernels, "kernel_integrals"),
                         (kernels, "_integrals"),
-                        (cli, "UsageError")):
+                        (cli, "UsageError"),
+                        (montecarlo, "_DIST_ALIASES")):
         assert not hasattr(owner, gone)
     for gone in ("InvalidScaleError", "InvalidGridError", "IncompleteSampleError",
                  "SingularDesignError", "NonCoerciveLossError",
@@ -110,3 +117,84 @@ def test_builtin_raise_guard_sees_every_form():
                      ("m.py", "np.linalg.LinAlgError", "")]
     assert [kind for _, kind, _ in sites if _is_builtin(kind)] == [
         "ValueError", "TypeError", "KeyError"]
+
+
+# ---------------------------------------------------------------------------
+# one way in for each experiment input
+# ---------------------------------------------------------------------------
+
+def _environment_reads(tree):
+    """Each name, attribute or import of `environ` or `getenv`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names = [node.id if isinstance(node, ast.Name) else node.attr]
+        else:
+            continue
+        yield from (name for name in names if name in ("environ", "getenv"))
+
+
+def test_library_reads_no_environment():
+    # an experiment's inputs are its config cell and the CLI's flags
+    found = {path.name: list(_environment_reads(ast.parse(path.read_text())))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_environment_guard_sees_every_form():
+    source = ("os.environ.get('A')\n"
+              "os.getenv('B')\n"
+              "from os import environ, getenv, cpu_count\n"
+              "os.cpu_count()\n")
+    assert sorted(_environment_reads(ast.parse(source))) == [
+        "environ", "environ", "getenv", "getenv"]
+
+
+def _parameters(func):
+    return [(p.name, p.default) for p in inspect.signature(func).parameters.values()]
+
+
+@pytest.mark.parametrize("driver", [montecarlo.run_rmse_experiment,
+                                    montecarlo.run_mad_experiment])
+def test_drivers_take_only_a_config_and_a_thread_count(driver):
+    assert _parameters(driver) == [("config", inspect.Parameter.empty),
+                                   ("threads", 1)]
+
+
+def test_a_cell_is_the_only_source_of_its_config():
+    assert _parameters(montecarlo.ExperimentConfig.from_dict) == [
+        ("data", inspect.Parameter.empty)]
+
+
+_CELL = {"n": 100, "M": 5, "tau": 0.5, "error_dist": "t4", "m_list": [5]}
+
+
+@pytest.mark.parametrize("alias", ["normal", "gauss", "compact", "compact_bump"])
+def test_kernel_aliases_are_refused(alias):
+    message = re.escape(f"unknown kernel {alias!r} (expected gaussian|bump)")
+    with pytest.raises(InputError, match=message):
+        kernels.parse_kernel(alias)
+    with pytest.raises(InputError, match=message):
+        montecarlo.ExperimentConfig.from_dict({**_CELL, "kernel": alias})
+
+
+@pytest.mark.parametrize("alias", ["normal", "gaussian", "student_t4"])
+def test_error_distribution_aliases_are_refused(alias):
+    message = re.escape(f"unknown error distribution {alias!r} (expected normal01|t4)")
+    with pytest.raises(InputError, match=message):
+        montecarlo.ExperimentConfig.from_dict({**_CELL, "error_dist": alias})
+    for call in (montecarlo.error_density,
+                 lambda name: montecarlo.error_quantile_shift(name, 0.5)):
+        with pytest.raises(InputError, match=message):
+            call(alias)
+
+
+@pytest.mark.parametrize("cell, message", [
+    ({**_CELL, "replications": 5}, "unknown config keys: ['replications']"),
+    ({k: v for k, v in _CELL.items() if k != "M"} | {"replications": 5},
+     "config needs entries ['M']"),
+])
+def test_replications_key_is_refused(cell, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        montecarlo.ExperimentConfig.from_dict(cell)
