@@ -4,7 +4,7 @@ The normal quantile is scipy's `ndtri`; the t distribution with 4
 degrees of freedom takes its CDF and quantile from scipy's `stdtr` and
 `stdtrit`.  `scipy.special` loads on the first call that needs it, so
 importing this module (and the CLI) does not pay for it.  A density is
-only its name, pdf and CDF: quadrature against it chooses its own
+only its pdf and CDF: quadrature against it chooses its own
 panels.  Each pdf caps |x| past the point where it rounds to 0, so x*x
 cannot overflow.
 """
@@ -37,7 +37,6 @@ def _special():
 class ErrorDensity:
     """A univariate error distribution with smooth density."""
 
-    name: str
     pdf: Callable
     cdf: Callable
 
@@ -84,16 +83,9 @@ def t4_quantile(p) -> float | np.ndarray:
 
 
 def standard_normal() -> ErrorDensity:
-    return ErrorDensity(
-        name="normal01",
-        pdf=normal_pdf,
-        cdf=lambda x: _special().ndtr(np.asarray(x, dtype=float)),
-    )
+    return ErrorDensity(pdf=normal_pdf,
+                        cdf=lambda x: _special().ndtr(np.asarray(x, dtype=float)))
 
 
 def student_t4() -> ErrorDensity:
-    return ErrorDensity(
-        name="t4",
-        pdf=t4_pdf,
-        cdf=t4_cdf,
-    )
+    return ErrorDensity(pdf=t4_pdf, cdf=t4_cdf)

@@ -2,9 +2,11 @@
 
 Each loss carries its value, a right-continuous subgradient selection,
 and a piece table.  The table gives the Lipschitz constant, the kinks,
-coercivity and the curvature measure: the distributional second
-derivative split into point masses at the kinks plus a piecewise-constant
-density (only Huber has one).
+coercivity and the kink table `LossSpec.jumps`: (k_i, a_i, b_i), where
+the subgradient jumps by a_i and its slope by b_i.  That table is the
+distributional second derivative rho'', a generalized function: a point
+mass a_i at each kink plus a piecewise-constant density that jumps by
+b_i there (only Huber has one).
 """
 from __future__ import annotations
 
@@ -57,6 +59,16 @@ class LossSpec:
     def kinks(self) -> tuple[float, ...]:
         """Where the loss is not twice differentiable: where pieces meet."""
         return tuple(piece[0] for piece in loss_pieces(self)[1:])
+
+    @property
+    def jumps(self) -> tuple[tuple[float, float, float], ...]:
+        """(k_i, a_i, b_i) at each kink k_i: the subgradient jumps by
+        a_i = (s - s_prev) + (q - q_prev)*k_i there, and its slope by
+        b_i = q - q_prev, from the pieces' slopes s and curvatures q."""
+        pieces = loss_pieces(self)
+        return tuple((k, (s - s_prev) + (q - q_prev) * k, q - q_prev)
+                     for (*_, s_prev, q_prev), (k, _, _, s, q)
+                     in zip(pieces, pieces[1:]))
 
     @property
     def coercive(self) -> bool:
@@ -157,44 +169,21 @@ def loss_pieces(loss: LossSpec) -> tuple[tuple[float, float, float, float, float
             (c, inf, -0.5 * c * c, c, 0.0))
 
 
-@dataclass(frozen=True)
-class CurvatureMeasure:
-    """Distributional second derivative of a convex loss.
-
-    jumps: point masses (location, mass), one per subgradient jump.
-    density: absolutely continuous part as (lo, hi, value) intervals.
-    """
-
-    jumps: tuple[tuple[float, float], ...]
-    density: tuple[tuple[float, float, float], ...]
-
-
-def loss_curvature(loss: LossSpec) -> CurvatureMeasure:
-    """Read off the piece table: a mass at each kink k where the
-    subgradient s + q*k jumps, and each piece's q as the density there."""
-    pieces = loss_pieces(loss)
-    jumps = ((k, (s + q * k) - (s_prev + q_prev * k))
-             for (*_, s_prev, q_prev), (k, _, _, s, q) in zip(pieces, pieces[1:]))
-    return CurvatureMeasure(
-        jumps=tuple((k, mass) for k, mass in jumps if mass != 0.0),
-        density=tuple((lo, hi, q) for lo, hi, _, _, q in pieces if q != 0.0))
-
-
 def expected_curvature(loss: LossSpec, density) -> float:
     """Curvature constant a = E[rho''(e)] for e distributed as `density`.
 
-    Point masses contribute mass * pdf(location); each constant piece
-    (lo, hi, value) of the density part contributes value times the
-    probability of [lo, hi], from the CDF.
+    Summed by parts over the kink table: sum_i [a_i pdf(k_i) - b_i F(k_i)],
+    since the density part of rho'' is 0 on both outer pieces.  The pdf
+    is read only where a_i != 0 and the CDF only where b_i != 0.
     """
-    measure = loss_curvature(loss)
     a = 0.0
-    for loc, mass in measure.jumps:
-        val = float(density.pdf(loc))
-        if not np.isfinite(val):
-            raise InputError(
-                f"curvature undefined: density not evaluable at {loc}")
-        a += mass * val
-    for lo, hi, val in measure.density:
-        a += val * float(density.cdf(hi) - density.cdf(lo))
+    for k, jump, d_quad in loss.jumps:
+        if jump:
+            val = float(density.pdf(k))
+            if not np.isfinite(val):
+                raise InputError(
+                    f"curvature undefined: density not evaluable at {k}")
+            a += jump * val
+        if d_quad:
+            a -= d_quad * float(density.cdf(k))
     return a

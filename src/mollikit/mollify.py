@@ -45,8 +45,7 @@ from .errors import InputError
 from .kernels import (MollifierKernel, _excess, _integral,  # noqa: F401
                       kernel_abs_moment, kernel_cdf, kernel_partial_moment,
                       kernel_value)
-from .losses import (LossSpec, loss_curvature, loss_pieces, loss_subgradient,
-                     loss_value)
+from .losses import LossSpec, loss_pieces, loss_subgradient, loss_value
 
 # smooth_value takes the loss itself past |u| = _FAR; from _MIN_SCALE on,
 # such a point is still past |t| = 1e10 from every kink in kernel space
@@ -190,7 +189,7 @@ def check_scale(loss: LossSpec, m: float) -> None:
     if not _MIN_SCALE <= m < np.inf:
         raise InputError(f"smoothing scale must be finite and at "
                          f"least {_MIN_SCALE:g}, got {m}")
-    if not all(isfinite(float(m) * mass) for _, mass in loss_curvature(loss).jumps):
+    if not all(isfinite(float(m) * jump) for _, jump, _ in loss.jumps):
         raise InputError(f"smoothing scale {m:g} is too large: m times "
                          "the subgradient's jumps overflows")
 
@@ -200,8 +199,9 @@ class PartialMomentSmoother:
     evaluate the smoothing integrals exactly, as the loss plus its bias.
 
     Catalog losses are piecewise quadratic: at kink k_i the subgradient
-    jumps by a_i and the curvature by b_i.  Each kink maps into kernel
-    space as t_i = m*(k_i - u).  With V ~ phi, the excess moments
+    jumps by a_i and the curvature by b_i, read from the kink table
+    `LossSpec.jumps`.  Each kink maps into kernel space as
+    t_i = m*(k_i - u).  With V ~ phi, the excess moments
     T1(s) = E(V - s)_+ and T2(s) = E(V - s)_+^2 (`kernel_excess`), and
     Q(t) = T2(|t|) for t >= 0, mu2 - T2(|t|) for t < 0:
 
@@ -232,16 +232,13 @@ class PartialMomentSmoother:
         self.loss = loss
         self.kernel = kernel
         self.m = m = float(m)
-        pieces = np.array(loss_pieces(loss))     # rows (lo, hi, alpha, slope, quad)
-        kinks = pieces[1:, 0]
+        kinks, self._jump, self._d_quad = np.array(loss.jumps).T
         self._kinks = kinks[:, None]
-        self._slope = pieces[-1, 3]
-        _, d_slope, self._d_quad = np.diff(pieces[:, 2:], axis=0).T
-        self._jump = d_slope + self._d_quad * kinks
+        self._slope = loss_pieces(loss)[-1][3]
         self._d_psi = m * self._jump
         self._jump_m = self._jump / m
         self._mu2 = kernel_abs_moment(kernel, 2)
-        self._quad = bool(np.any(pieces[:, 4]))
+        self._quad = bool(np.any(self._d_quad))
         # the kernel's reach in u-space: kink distances are clipped to it
         self._reach_m = kernel.reach / m
         # bounds |second derivative|: |dq_i C| <= |dq_i| and phi <= phi(0)

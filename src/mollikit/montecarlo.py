@@ -147,7 +147,9 @@ def generate_sample(config: ExperimentConfig, replication: int) -> LinearSample:
 
     x is drawn first, then the raw errors: normal errors straight from
     the generator, t4 errors by feeding uniforms through scipy's t4
-    quantile (`stdtrit`).
+    quantile (`stdtrit`).  A uniform of exactly 0.0 (probability 2^-53
+    per draw) is raised to the smallest positive double, whose quantile
+    is finite; every other draw is fed through as it is.
     """
     if not 0 <= replication < config.replications:
         raise InputError("replication index out of range")
@@ -158,7 +160,7 @@ def generate_sample(config: ExperimentConfig, replication: int) -> LinearSample:
     if config.error_dist == "normal01":
         eps = rng.standard_normal(config.n)
     else:
-        eps = t4_quantile(rng.random(config.n))
+        eps = t4_quantile(np.fmax(rng.random(config.n), 5e-324))
     e = eps - error_quantile_shift(config.error_dist, config.tau)
     theta0 = np.array([THETA0])
     xmat = x[:, None]

@@ -23,9 +23,7 @@ import numpy as np
 
 from .errors import InputError
 from .estimator import LinearSample
-from .kernels import MollifierKernel
 from .losses import LossSpec, loss_subgradient, loss_value
-from .mollify import smoothed_loss
 
 # points in approximation_gap's probe set
 _PROBES = 512
@@ -62,9 +60,8 @@ def build_quadratic(sample: LinearSample, loss: LossSpec,
                     a: float) -> QuadraticApprox:
     """Assemble the surrogate's score and Gram pieces.
 
-    The curvature constant is supplied by the caller: analytic via
-    losses.expected_curvature when the error density is known, or the
-    plug-in curvature_plugin below.
+    The curvature constant is supplied by the caller, for example by
+    losses.expected_curvature when the error density is known.
     """
     if not a > 0:
         raise InputError(f"curvature constant must be > 0, got {a}")
@@ -75,13 +72,6 @@ def build_quadratic(sample: LinearSample, loss: LossSpec,
     score = (sample.x.T @ psi) / sqrt(n)
     gram = (sample.x.T @ sample.x) / n
     return QuadraticApprox(score=score, gram=gram, a=float(a))
-
-
-def curvature_plugin(loss: LossSpec, kernel: MollifierKernel, m: float,
-                     e: np.ndarray) -> float:
-    """Plug-in curvature constant: mean of the smoothed second derivative."""
-    smoother = smoothed_loss(loss, kernel, m)
-    return float(np.mean(smoother.second_derivative(np.asarray(e, dtype=float))))
 
 
 def q_value(q: QuadraticApprox, beta) -> float | np.ndarray:

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from mollikit.distributions import ErrorDensity, standard_normal, student_t4
 from mollikit.errors import InputError
 from mollikit.kernels import bump_kernel, gaussian_kernel
-from mollikit.losses import (CurvatureMeasure, LossSpec, absolute_loss,
-                             check_loss, expected_curvature, huber_loss,
-                             loss_curvature, loss_pieces, loss_subgradient,
-                             loss_value, parse_loss, relu_loss)
+from mollikit.losses import (LossSpec, absolute_loss, check_loss,
+                             expected_curvature, huber_loss, loss_pieces,
+                             loss_subgradient, loss_value, parse_loss,
+                             relu_loss)
 from mollikit.mollify import PartialMomentSmoother
 
 from reference import t4_cdf_closed_form
@@ -146,29 +146,26 @@ def test_midpoint_convexity_property(u, v, lam):
 
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda lo: lo.label)
 def test_atom_masses_match_subgradient_jumps(loss):
-    measure = loss_curvature(loss)
+    # the table lists every kink, and a_i is the jump the subgradient
+    # makes across it
+    assert tuple(k for k, _, _ in loss.jumps) == loss.kinks
     eps = 1e-9
-    for loc, mass in measure.jumps:
-        jump = loss_subgradient(loss, loc + eps) - loss_subgradient(loss, loc - eps)
-        assert jump == pytest.approx(mass, abs=1e-6)
-    # and conversely every kink with a jump is listed
-    for k in loss.kinks:
-        jump = loss_subgradient(loss, k + eps) - loss_subgradient(loss, k - eps)
-        if abs(jump) > 1e-6:
-            assert any(loc == k for loc, _ in measure.jumps)
+    for k, jump, _ in loss.jumps:
+        seen = loss_subgradient(loss, k + eps) - loss_subgradient(loss, k - eps)
+        assert seen == pytest.approx(jump, abs=1e-6)
 
 
-@pytest.mark.parametrize("loss,measure", [
-    pytest.param(loss, measure, id=loss.label) for loss, measure in [
-        (absolute_loss(), CurvatureMeasure(jumps=((0.0, 2.0),), density=())),
-        (relu_loss(), CurvatureMeasure(jumps=((0.0, 1.0),), density=())),
-        *[(check_loss(tau), CurvatureMeasure(jumps=((0.0, 1.0),), density=()))
+@pytest.mark.parametrize("loss,jumps", [
+    pytest.param(loss, jumps, id=loss.label) for loss, jumps in [
+        (absolute_loss(), ((0.0, 2.0, 0.0),)),
+        (relu_loss(), ((0.0, 1.0, 0.0),)),
+        *[(check_loss(tau), ((0.0, 1.0, 0.0),))
           for tau in (0.1, 0.3, 0.42, 0.7, 0.9)],
-        *[(huber_loss(c), CurvatureMeasure(jumps=(), density=((-c, c, 1.0),)))
+        *[(huber_loss(c), ((-c, 0.0, 1.0), (c, 0.0, -1.0)))
           for c in (0.5, 1.0, 1.345)],
     ]])
-def test_curvature_measures(loss, measure):
-    assert loss_curvature(loss) == measure
+def test_curvature_measures(loss, jumps):
+    assert loss.jumps == jumps
 
 
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda lo: lo.label)
@@ -207,8 +204,7 @@ def test_expected_curvature_t4():
 
 
 def test_expected_curvature_rejects_unevaluable_density():
-    bad = ErrorDensity(name="bad",
-                       pdf=lambda u: np.where(np.asarray(u) == 0.0, np.nan, 1.0),
+    bad = ErrorDensity(pdf=lambda u: np.where(np.asarray(u) == 0.0, np.nan, 1.0),
                        cdf=lambda u: u)
     with pytest.raises(InputError, match="density not evaluable at 0"):
         expected_curvature(check_loss(0.5), bad)

@@ -13,8 +13,8 @@ from mollikit.errors import InputError
 from mollikit.kernels import (bump_kernel, gaussian_kernel, kernel_abs_moment,
                               kernel_cdf, kernel_excess, kernel_partial_moment,
                               kernel_value)
-from mollikit.losses import (absolute_loss, check_loss, huber_loss, loss_subgradient,
-                             loss_value, relu_loss)
+from mollikit.losses import (absolute_loss, check_loss, expected_curvature,
+                             huber_loss, loss_subgradient, loss_value, relu_loss)
 from mollikit.mollify import (PartialMomentSmoother, expected_derivative_gap,
                               smooth_derivative, smooth_value, smoothed_loss,
                               sup_error)
@@ -784,7 +784,7 @@ def _logistic_pdf(u):
 def test_expected_derivative_gap_takes_any_density(loss, kern):
     # the panels come from the kernel's window at each kink, so a density
     # is only its pdf and CDF; the reference integrates the whole line
-    logistic = ErrorDensity(name="logistic", pdf=_logistic_pdf, cdf=expit)
+    logistic = ErrorDensity(pdf=_logistic_pdf, cdf=expit)
     m = 10.0
     s = smoothed_loss(loss, kern, m)
 
@@ -810,8 +810,7 @@ def test_expected_derivative_gap_at_a_wide_scale(loss, kern):
     m = 0.01
     s = smoothed_loss(loss, kern, m)
     for shift in (0.0, 30.0):
-        density = ErrorDensity(name=f"normal({shift:g}, 1)",
-                               pdf=lambda u: normal.pdf(u - shift),
+        density = ErrorDensity(pdf=lambda u: normal.pdf(u - shift),
                                cdf=lambda u: normal.cdf(u - shift))
 
         def f(u):
@@ -840,6 +839,35 @@ def test_expected_derivative_gap_huber_gaussian_tight():
     gap = expected_derivative_gap(huber_loss(1.0), GAUSS, 1000.0,
                                   standard_normal())
     assert gap == pytest.approx(2.419707245191554e-07, rel=1e-9)
+
+
+# One kink with subgradient jump a, the Gaussian kernel and e ~ N(0, 1):
+# rho_m'' is a times the N(0, m^-2) density, and rho_m' - psi is
+# a (Phi(m u) - [u >= 0]), so both expectations have closed forms.
+GAUSSIAN_ONE_KINK = [pytest.param(loss, m, id=f"{loss.label}-m{m:g}")
+                     for loss in (absolute_loss(), check_loss(0.3), relu_loss())
+                     for m in (0.5, 1.0, 5.0, 20.0, 80.0)]
+
+
+@pytest.mark.parametrize("loss,m", GAUSSIAN_ONE_KINK)
+def test_expected_curvature_gaussian_closed_form(loss, m):
+    # E rho_m''(e) = a / sqrt(2 pi (1 + m^-2)), the N(0, 1 + m^-2) density
+    # at the kink; its m -> inf limit is the loss's curvature constant
+    ((_, a, _),) = loss.jumps
+    s = smoothed_loss(loss, GAUSS, m)
+    density = standard_normal()
+    val = integrate(lambda u: s.second_derivative(u) * density.pdf(u),
+                    [-12.0, -1.0, 0.0, 1.0, 12.0])
+    assert abs(val - a / np.sqrt(2.0 * np.pi * (1.0 + m**-2))) <= 1e-15
+    assert a / np.sqrt(2.0 * np.pi) == expected_curvature(loss, density)
+
+
+@pytest.mark.parametrize("loss,m", GAUSSIAN_ONE_KINK)
+def test_expected_derivative_gap_gaussian_closed_form(loss, m):
+    # E|rho_m'(e) - psi(e)| = 2a P(Z1 > m Z2 > 0) = a arctan(1/m) / pi
+    ((_, a, _),) = loss.jumps
+    gap = expected_derivative_gap(loss, GAUSS, m, standard_normal())
+    assert gap == pytest.approx(a * np.arctan(1.0 / m) / np.pi, rel=1e-14)
 
 
 def test_expected_second_derivative_bias_shrinks():

@@ -243,6 +243,37 @@ def test_generate_sample_index_range():
         generate_sample(cfg, -1)
 
 
+def test_t4_uniform_of_exactly_zero_draws_a_finite_error(monkeypatch):
+    # the generator returns 0.0 with probability 2^-53 per uniform, where
+    # the t4 quantile refuses p = 0; that draw becomes the quantile of the
+    # smallest positive double, and every other draw stays as it was
+    cfg = _cfg(error_dist="t4", tau=0.3, replications=2)
+    plain = generate_sample(cfg, 1)
+    real = np.random.default_rng
+
+    class FirstUniformZero:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def random(self, size):
+            u = self._rng.random(size)
+            u[0] = 0.0
+            return u
+
+    monkeypatch.setattr(np.random, "default_rng", FirstUniformZero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = generate_sample(cfg, 1)
+        res = run_rmse_experiment(cfg, threads=1)
+    assert np.isfinite(s.e[0]) and s.e[0] < 0
+    assert np.array_equal(s.e[1:], plain.e[1:])
+    assert np.array_equal(s.x, plain.x)
+    assert res.excluded == 0
+
+
 # ---------------------------------------------------------------------------
 # RMSE experiment
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import dataclasses
 import inspect
 import re
 from importlib.util import find_spec
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import mollikit
-from mollikit import (cli, errors, estimator, kernels, mollify, montecarlo,
-                      quadratic)
+from mollikit import (cli, distributions, errors, estimator, kernels, losses,
+                      mollify, montecarlo, quadratic)
 from mollikit.errors import InputError
 
 SRC = Path(mollikit.__file__).parent
@@ -53,7 +54,13 @@ def test_public_names_resolve_once():
                         (kernels, "kernel_integrals"),
                         (kernels, "_integrals"),
                         (cli, "UsageError"),
-                        (montecarlo, "_DIST_ALIASES")):
+                        (montecarlo, "_DIST_ALIASES"),
+                        (mollikit, "CurvatureMeasure"),
+                        (mollikit, "loss_curvature"),
+                        (mollikit, "curvature_plugin"),
+                        (losses, "CurvatureMeasure"),
+                        (losses, "loss_curvature"),
+                        (quadratic, "curvature_plugin")):
         assert not hasattr(owner, gone)
     for gone in ("InvalidScaleError", "InvalidGridError", "IncompleteSampleError",
                  "SingularDesignError", "NonCoerciveLossError",
@@ -63,6 +70,20 @@ def test_public_names_resolve_once():
                  "CurvatureUndefinedError", "InvalidPointError"):
         assert not hasattr(errors, gone)
     assert find_spec("mollikit.quadrature") is None
+
+
+def test_error_density_is_a_pdf_and_a_cdf():
+    assert tuple(field.name for field in dataclasses.fields(
+        distributions.ErrorDensity)) == ("pdf", "cdf")
+
+
+def test_quadratic_imports_no_smoother():
+    # the surrogate takes its curvature constant from the caller, so it
+    # needs neither the kernels nor the smoothed loss
+    tree = ast.parse((SRC / "quadratic.py").read_text())
+    assert sorted(node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level) == [
+        "errors", "estimator", "losses"]
 
 
 def _message(call) -> str:

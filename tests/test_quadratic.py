@@ -13,8 +13,8 @@ from mollikit.kernels import bump_kernel
 from mollikit.losses import absolute_loss, check_loss, expected_curvature, huber_loss
 from mollikit.montecarlo import ExperimentConfig, generate_sample
 from mollikit.quadratic import (QuadraticApprox, approximation_gap, beta_Q,
-                                beta_gap, build_quadratic, curvature_plugin,
-                                loglog_scale, probe_ball, q_value, tilde_L)
+                                beta_gap, build_quadratic, loglog_scale,
+                                probe_ball, q_value, tilde_L)
 
 A_NORMAL = 0.3989422804014327
 
@@ -156,12 +156,6 @@ def test_reformulation_identity():
         lhs = q_value(q, beta)
         rhs = 0.5 * q.a * (beta - bq) @ q.gram @ (beta - bq) - half_norm
         assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_curvature_plugin_approaches_analytic():
-    s = _known_sample(6, 20_000)
-    plug = curvature_plugin(check_loss(0.5), bump_kernel(), 20.0, s.e)
-    assert plug == pytest.approx(A_NORMAL, abs=0.05)
 
 
 # ---------------------------------------------------------------------------
