@@ -174,16 +174,19 @@ def expected_curvature(loss: LossSpec, density) -> float:
 
     Summed by parts over the kink table: sum_i [a_i pdf(k_i) - b_i F(k_i)],
     since the density part of rho'' is 0 on both outer pieces.  The pdf
-    is read only where a_i != 0 and the CDF only where b_i != 0.
+    is read only where a_i != 0 and the CDF only where b_i != 0, and
+    either one not finite there raises InputError.
     """
+    def at(fn, name, k):
+        val = float(fn(k))
+        if not np.isfinite(val):
+            raise InputError(f"curvature undefined: {name} not evaluable at {k}")
+        return val
+
     a = 0.0
     for k, jump, d_quad in loss.jumps:
         if jump:
-            val = float(density.pdf(k))
-            if not np.isfinite(val):
-                raise InputError(
-                    f"curvature undefined: density not evaluable at {k}")
-            a += jump * val
+            a += jump * at(density.pdf, "density", k)
         if d_quad:
-            a -= d_quad * float(density.cdf(k))
+            a -= d_quad * at(density.cdf, "CDF", k)
     return a

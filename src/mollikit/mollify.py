@@ -28,7 +28,9 @@ against an error density, and `smooth_value` on the bump kernel, which
 still runs kink-split quadrature (`_value_quadrature`); the tests use
 that quadrature as their independent reference.  Only the kinks inside
 the kernel's window split a row, and rows are integrated in groups by
-how many kinks they keep, so no panel is empty.  On each bump-value
+how many kinks they keep, so no panel is empty; the rows that keep none
+share one row of breaks, the window, so their nodes and phi on them are
+built once per chunk rather than once per row.  On each bump-value
 panel the integrand is a polynomial of degree at most 2 in v times
 phi(v), so the rule's accuracy depends on neither u nor m.
 """
@@ -81,9 +83,11 @@ def integrate_rows(f, breaks):
     with a 50-node Gauss-Legendre rule on each: 200 nodes per panel,
     exact on polynomials of degree below 100 per part.  There is no
     accuracy target; the caller's panels decide the accuracy.  f maps a
-    (B, T) node array to integrand values of the same shape; row i of
-    the nodes always belongs to row i of breaks, so a row's value never
-    depends on the other rows.  Returns a (B,) array.
+    (B, T) node array to integrand values of (R, T); with B = R, row i of
+    the values belongs to row i of breaks, and with B = 1 every row of
+    the values shares the one row of breaks, whose nodes and half-widths
+    are then built once.  Either way a row's value never depends on the
+    other rows.  Returns an (R,) array.
     """
     breaks = np.asarray(breaks, dtype=float)
     lo, hi = breaks[:, :-1], breaks[:, 1:]
@@ -91,7 +95,8 @@ def integrate_rows(f, breaks):
     half = 0.5 * ((hi - lo) / _PARTS)[..., None]             # (B, P, 1)
     center = lo[..., None] + (hi - lo)[..., None] * frac + half  # (B, P, parts)
     nodes = center[..., None] + half[..., None] * _GL_X      # (B, P, parts, N)
-    vals = f(nodes.reshape(nodes.shape[0], -1)).reshape(nodes.shape)
+    vals = f(nodes.reshape(nodes.shape[0], -1))
+    vals = vals.reshape(vals.shape[0], *nodes.shape[1:])     # (R, P, parts, N)
     return np.einsum("bpsn,n,bps->b", vals, _GL_W,
                      np.broadcast_to(half, vals.shape[:3]))
 
@@ -115,7 +120,10 @@ def _quad_rows(s: PartialMomentSmoother, u: np.ndarray, integrand) -> np.ndarray
     Every loss kink k maps to v = m*(k - u), and only the kinks strictly
     inside the window split a row, so no panel is empty.  Rows are
     grouped by how many kinks they keep, and each group is integrated in
-    _CHUNK_ROWS-row chunks on breaks of len(base) + count columns.
+    _CHUNK_ROWS-row chunks on breaks of len(base) + count columns.  The
+    rows that keep no kink all have the window as their breaks, so their
+    chunks pass it as one shared row: the nodes, and whatever of the
+    integrand depends on v alone, are computed once per chunk.
     """
     base = _base_breaks(s.kernel)
     t = s.m * (np.array(s.loss.kinks) - u[:, None])
@@ -136,7 +144,9 @@ def _quad_rows(s: PartialMomentSmoother, u: np.ndarray, integrand) -> np.ndarray
             def f(v, uc=uc):
                 return integrand(uc + v / s.m, v)
 
-            out[idx] = integrate_rows(f, breaks[idx, :len(base) + c])
+            # a row that keeps no kink has the window as its breaks
+            out[idx] = integrate_rows(
+                f, [base] if c == 0 else breaks[idx, :len(base) + c])
     return out
 
 

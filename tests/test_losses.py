@@ -210,6 +210,15 @@ def test_expected_curvature_rejects_unevaluable_density():
         expected_curvature(check_loss(0.5), bad)
 
 
+def test_expected_curvature_rejects_unevaluable_cdf():
+    # Huber reads the CDF at its edges, where the curvature jumps; a NaN
+    # there is refused by its own name, not passed on as the constant
+    bad = ErrorDensity(pdf=standard_normal().pdf,
+                       cdf=lambda u: np.nan * np.asarray(u))
+    with pytest.raises(InputError, match="CDF not evaluable at -1.0"):
+        expected_curvature(huber_loss(1.0), bad)
+
+
 def test_construction_validation():
     with pytest.raises(InputError):
         check_loss(0.0)

@@ -537,11 +537,18 @@ def test_bump_value_panels_split_only_at_kinks_in_the_window(monkeypatch):
     # each row gets one panel per kink strictly inside the window, plus
     # one, and no panel is empty; the spy returns each row's panel count
     # in place of its integral, so smooth_value hands the counts back in
-    # grid order
+    # grid order.  Rows that keep no kink share one row of breaks, the
+    # window itself, so the spy reads the row count from f's output
     def spy(f, breaks):
+        breaks = np.asarray(breaks)
         assert np.all(breaks[:, 0] == -0.99) and np.all(breaks[:, -1] == 0.99)
         assert np.all(np.diff(breaks, axis=1) > 0.0)
-        return np.full(breaks.shape[0], breaks.shape[1] - 1.0)
+        rows = f(breaks[:, :1]).shape[0]
+        if breaks.shape[1] == 2:
+            assert np.array_equal(breaks, [[-0.99, 0.99]])
+        else:
+            assert breaks.shape[0] == rows
+        return np.full(rows, breaks.shape[1] - 1.0)
 
     monkeypatch.setattr(mollify, "integrate_rows", spy)
     grid = np.linspace(-3.0, 3.0, 6001)
@@ -868,6 +875,33 @@ def test_expected_derivative_gap_gaussian_closed_form(loss, m):
     ((_, a, _),) = loss.jumps
     gap = expected_derivative_gap(loss, GAUSS, m, standard_normal())
     assert gap == pytest.approx(a * np.arctan(1.0 / m) / np.pi, rel=1e-14)
+
+
+# Bump kernel, e ~ N(0, 1), one kink at 0 with jump a: E rho_m''(e) is
+# a E f(-V/m) = a (f(0) + f''(0) mu2 / (2 m^2) + O(m^-4)) with f''(0) =
+# -f(0), so m^2 (E rho_m''(e) / a - f(0)) -> -f(0) mu2 / 2.  The next
+# term, f''''(0) mu4 / (24 m^2), measured 0.002634 to 0.002642 over m^2.
+BUMP_ONE_KINK = [pytest.param(loss, m, id=f"{loss.label}-m{m:g}")
+                 for loss in (absolute_loss(), check_loss(0.3), relu_loss())
+                 for m in (5.0, 20.0, 80.0)]
+
+
+@pytest.mark.parametrize("loss,m", BUMP_ONE_KINK)
+def test_expected_curvature_bump_leading_term(loss, m):
+    ((_, a, _),) = loss.jumps
+    s = smoothed_loss(loss, BUMP, m)
+    density = standard_normal()
+    # rho_m'' is 0 beyond the kernel's reach, 1/m, of the kink
+    val = integrate(lambda u: s.second_derivative(u) * density.pdf(u),
+                    [-1.0 / m, 0.0, 1.0 / m], target=1e-15)
+    scaled = m * m * (val / a - INV_SQRT_2PI)
+    limit = -INV_SQRT_2PI * MU2_BUMP / 2.0
+    assert limit == pytest.approx(-0.0315391, abs=5e-8)
+    assert 0.0 < scaled - limit <= 0.0027 / m**2
+    if m == 5.0:
+        assert scaled == pytest.approx(-0.031434, abs=5e-7)
+    if m == 80.0:
+        assert scaled == pytest.approx(-0.0315387, abs=5e-8)
 
 
 def test_expected_second_derivative_bias_shrinks():

@@ -57,3 +57,18 @@ def test_zero_width_panels_contribute_nothing():
     assert padded == _one(f, [0.0, 0.5, 1.0])
     assert padded == pytest.approx(np.e - 1.0, rel=1e-15)
     assert _one(f, [0.25, 0.25]) == 0.0
+
+
+def test_one_row_of_breaks_is_shared_by_every_row():
+    # an f that returns B rows on one row of breaks gives, bit for bit,
+    # what the same breaks tiled to B rows give
+    rng = np.random.default_rng(1)
+    centers = rng.uniform(-1, 1, 16)
+    window = np.array([[-3.0, -1.0, 1.0, 3.0]])
+
+    def f(v):
+        return np.abs(v - centers[:, None]) * np.exp(-v * v)
+
+    shared = integrate_rows(f, window)
+    assert shared.shape == (16,)
+    assert np.array_equal(shared, integrate_rows(f, np.repeat(window, 16, axis=0)))
